@@ -43,7 +43,6 @@ from .counting import (
     divisor_count,
     grid_area_k_count,
     max_repeated_minor,
-    merge_censuses,
     minor_census,
     mu,
     mu_nonzero,

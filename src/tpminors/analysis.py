@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .constructions import (
+    CanonicalizationError,
     Point2,
     assemble_tp_2xn,
     canonicalize_config,
@@ -129,7 +130,7 @@ def scan_exponent(cfg: RunConfig) -> ScanReport:
     for size in cfg.sizes:
         try:
             recorded, count, aux = _measure(cfg, size)
-        except Exception as e:  # abort with partial results flagged
+        except (ValueError, CanonicalizationError) as e:  # abort, partial rows flagged
             report.partial_error = "size %d failed: %s" % (size, e)
             break
         report.rows.append(ScanRow(recorded, count, aux))

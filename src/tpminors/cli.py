@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import analysis, constructions, counting, exact
@@ -85,20 +84,9 @@ def cmd_verify(args):
     return 1
 
 
-def _census_threaded(A, k, scope, threads):
-    if threads <= 1:
-        return counting.minor_census(A, k, scope)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(
-            lambda i: counting.minor_census(A, k, scope, part=(i, threads)),
-            range(threads),
-        )
-        return counting.merge_censuses(parts)
-
-
 def cmd_census(args):
     A = exact.matrix_from_text(_read_input(args.input))
-    census = _census_threaded(A, args.order, args.scope, args.threads)
+    census = counting.minor_census(A, args.order, args.scope)
     if args.format == "json":
         _write_output(args.out, counting.census_to_json(census) + "\n")
     else:
@@ -108,7 +96,7 @@ def cmd_census(args):
 
 def cmd_count_equal(args):
     A = exact.matrix_from_text(_read_input(args.input))
-    census = _census_threaded(A, args.order, args.scope, args.threads)
+    census = counting.minor_census(A, args.order, args.scope)
     _write_output(args.out, "%d\n" % census[Fraction(args.value)])
     return 0
 
@@ -158,15 +146,28 @@ def cmd_check_st(args):
     return 0 if ok else 1
 
 
+def _add_global_flags(parser, suppress=False):
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument("--seed", type=int, default=default(0))
+    parser.add_argument("--out", default=default(None), help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default=default("csv"))
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="tpminors")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_global_flags(p)
+    # The same flags after the subcommand; suppressed defaults keep a value
+    # given before the subcommand from being overwritten.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(common, suppress=True)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    c = sub.add_parser("construct", help="build a matrix or configuration")
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, parents=[common], **kwargs)
+
+    c = add_parser("construct", help="build a matrix or configuration")
     c.add_argument("what", choices=("grid", "power-sum", "elekes", "tp2xn"))
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--k", type=int, default=2)
@@ -176,43 +177,43 @@ def build_parser():
     c.add_argument("--canonical", action="store_true")
     c.set_defaults(func=cmd_construct)
 
-    v = sub.add_parser("verify", help="total-positivity check of a matrix file")
+    v = add_parser("verify", help="total-positivity check of a matrix file")
     v.add_argument("--input", default=None)
     v.add_argument("--order", type=int, default=None)
     v.add_argument("--contiguous", action="store_true")
     v.set_defaults(func=cmd_verify)
 
-    ce = sub.add_parser("census", help="minor-value census")
+    ce = add_parser("census", help="minor-value census")
     ce.add_argument("--input", default=None)
     ce.add_argument("--order", type=int, required=True)
     ce.add_argument("--scope", choices=counting.SCOPES, default="all-pairs")
     ce.set_defaults(func=cmd_census)
 
-    cq = sub.add_parser("count-equal", help="number of minors equal to a value")
+    cq = add_parser("count-equal", help="number of minors equal to a value")
     cq.add_argument("--input", default=None)
     cq.add_argument("--order", type=int, required=True)
     cq.add_argument("--value", default="1")
     cq.add_argument("--scope", choices=counting.SCOPES, default="all-pairs")
     cq.set_defaults(func=cmd_count_equal)
 
-    r = sub.add_parser("rects", help="axis-parallel rectangle count for a point set")
+    r = add_parser("rects", help="axis-parallel rectangle count for a point set")
     r.add_argument("--input", default=None)
     r.add_argument("--area", default="1")
     r.add_argument("--mode", choices=("diagonal", "both-diagonals"), default="diagonal")
     r.set_defaults(func=cmd_rects)
 
-    m = sub.add_parser("mu", help="maximum multiplicity of a multiset expression")
+    m = add_parser("mu", help="maximum multiplicity of a multiset expression")
     m.add_argument("--input", default=None)
     m.set_defaults(func=cmd_mu)
 
-    s = sub.add_parser("scan", help="size scan with log-log exponent fit")
+    s = add_parser("scan", help="size scan with log-log exponent fit")
     s.add_argument("--family", choices=analysis.FAMILIES, required=True)
     s.add_argument("--sizes", required=True, help="comma-separated increasing sizes")
     s.add_argument("--mode", choices=("diagonal", "both-diagonals"), default="diagonal")
     s.add_argument("--area", default="1")
     s.set_defaults(func=cmd_scan)
 
-    st = sub.add_parser("check-st", help="exact incidence-bound sanity check")
+    st = add_parser("check-st", help="exact incidence-bound sanity check")
     st.add_argument("--m", type=int, required=True)
     st.add_argument("--n", type=int, required=True)
     st.add_argument("--incidences", type=int, required=True)

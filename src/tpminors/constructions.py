@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -161,26 +162,40 @@ def check_constraints(cfg: IncidenceConfig) -> ConstraintReport:
     1 no two lines parallel; 2 slopes positive; 3 intercepts positive;
     4 every two points linearly independent; 5 no origin-parallel translate of
     a line passes through a point; 6 all points strictly in the first quadrant.
+
+    Constraints 1, 4 and 5 are found by grouping on exact keys (line slopes,
+    point directions y/x from the origin), so only colliding groups are
+    enumerated; each constraint lists its index pairs in sorted order.
     """
     report = ConstraintReport()
     lines = cfg.lines
     points = cfg.points
-    for a, b in combinations(range(len(lines)), 2):
-        if lines[a].m == lines[b].m:
-            report.violations.append((1, (a, b)))
+    by_slope = defaultdict(list)
+    for i, l in enumerate(lines):
+        by_slope[l.m].append(i)
+    parallel = sorted(pair for group in by_slope.values() for pair in combinations(group, 2))
+    report.violations += [(1, pair) for pair in parallel]
     for i, l in enumerate(lines):
         if l.m <= 0:
             report.violations.append((2, (i,)))
         if l.c <= 0:
             report.violations.append((3, (i,)))
-    for a, b in combinations(range(len(points)), 2):
-        p, q = points[a], points[b]
-        if p.x * q.y - p.y * q.x == 0:
-            report.violations.append((4, (a, b)))
+    # the origin is dependent on every point and lies on every origin-parallel
+    # line; any other point is keyed by its direction, None for x = 0
+    origins = []
+    by_direction = defaultdict(list)
+    for j, p in enumerate(points):
+        if p.x == 0 and p.y == 0:
+            origins.append(j)
+        else:
+            by_direction[p.y / p.x if p.x else None].append(j)
+    dependent = {pair for group in by_direction.values() for pair in combinations(group, 2)}
+    for o in origins:
+        dependent.update((min(o, j), max(o, j)) for j in range(len(points)) if j != o)
+    report.violations += [(4, pair) for pair in sorted(dependent)]
     for i, l in enumerate(lines):
-        for j, p in enumerate(points):
-            if p.y == l.m * p.x:
-                report.violations.append((5, (i, j)))
+        for j in sorted(by_direction.get(l.m, []) + origins):
+            report.violations.append((5, (i, j)))
     for j, p in enumerate(points):
         if p.x <= 0 or p.y <= 0:
             report.violations.append((6, (j,)))
@@ -218,33 +233,23 @@ def _line_coeffs(l: Line2):
     return (-l.m, Fraction(1), -l.c)
 
 
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> IncidenceConfig:
     """Relabel cfg by an exact projective-then-affine map into canonical form.
 
     The incidence graph is preserved bijectively and the result passes
     check_constraints with no violations.  Each attempt draws a random
-    integer projective map whose vanishing line misses all points and all
-    pairwise line intersections (killing parallels), then applies
-    deterministic shears/translations to make slopes, intercepts, and point
-    coordinates positive; residual coincidences (constraints 4/5) trigger a
-    retry.  Deterministic given (cfg, seed); raises after ``budget`` attempts.
+    integer projective map whose vanishing line misses all points, then
+    applies deterministic shears/translations to make slopes, intercepts, and
+    point coordinates positive.  Lines whose crossing the map sends to
+    infinity come out vertical (rejected here) or parallel (constraint 1);
+    check_constraints is the one test for those and every other residual
+    coincidence, and a violation triggers a retry.  Deterministic given
+    (cfg, seed); raises after ``budget`` attempts.
     """
     if len(set(cfg.points)) != len(cfg.points):
         raise ValueError("points must be distinct")
     rng = random.Random(seed)
     line_vecs = [_line_coeffs(l) for l in cfg.lines]
-    crossings = [
-        _cross3(line_vecs[a], line_vecs[b])
-        for a, b in combinations(range(len(line_vecs)), 2)
-    ]
     point_vecs = [(p.x, p.y, Fraction(1)) for p in cfg.points]
     last_report = None
     for _ in range(budget):
@@ -254,8 +259,6 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
         # vanishing-line test: nothing we care about may map to infinity
         imgs = [_apply3(M, v) for v in point_vecs]
         if any(w[2] == 0 for w in imgs):
-            continue
-        if any(_apply3(M, v)[2] == 0 for v in crossings):
             continue
         pts = [Point2(w[0] / w[2], w[1] / w[2]) for w in imgs]
         adj = _adjugate3(M)

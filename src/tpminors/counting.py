@@ -4,9 +4,7 @@ Minor-value censuses over index scopes, point-line and point-hyperplane
 incidences, unit-area axis-parallel rectangle counts, the grid closed form
 with the divisor function, and the multiset difference/product algebra with
 maximum multiplicity.  Counts are exact integers; census keys are canonical
-reduced rationals.  Enumeration is range-partitionable: partial censuses from
-disjoint chunks merge by plain Counter addition, so any parallel schedule
-yields identical output.
+reduced rationals, enumerated in one deterministic pass.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from itertools import combinations
 from math import isqrt, lcm
 
 from .constructions import IncidenceConfig, Point2
-from .exact import RatMatrix, det_int, rat
+from .exact import RatMatrix, clear_denominators, det_int, rat
 
 SCOPES = ("all-pairs", "columns-only")
 
@@ -39,55 +37,31 @@ def _index_scope(A: RatMatrix, k: int, scope: str):
     return row_tuples
 
 
-def _int_rows(A: RatMatrix):
-    """Clear denominators once: per-row integer entries and scale factors."""
-    int_rows = []
-    scales = []
-    for row in A.entries:
-        m = lcm(*(e.denominator for e in row))
-        int_rows.append([e.numerator * (m // e.denominator) for e in row])
-        scales.append(m)
-    return int_rows, scales
-
-
 def minor_census(A: RatMatrix, k: int, scope: str = "all-pairs",
-                 witnesses: bool = False, part=None):
+                 witnesses: bool = False):
     """Exact multiset of all k x k minor values over the chosen index scope.
 
     Returns a Counter mapping canonical Fraction -> multiplicity; with
-    ``witnesses`` also a dict value -> list of (I, J).  ``part=(i, n)``
-    restricts enumeration to every n-th (row, column) tuple pair starting at
-    offset i; partial results merge by Counter addition.
+    ``witnesses`` also a dict value -> list of (I, J).
     """
     row_tuples = _index_scope(A, k, scope)
-    int_rows, scales = _int_rows(A)
+    int_rows, scales = clear_denominators(A.entries)
     census = Counter()
     wit = {} if witnesses else None
-    idx = 0
-    lo, step = (0, 1) if part is None else part
     for I in row_tuples:
         denom = 1
         for i in I:
             denom *= scales[i - 1]
         sel = [int_rows[i - 1] for i in I]
         for J in combinations(range(1, A.cols + 1), k):
-            if idx % step == lo:
-                sub = [[r[j - 1] for j in J] for r in sel]
-                v = Fraction(det_int(sub), denom)
-                census[v] += 1
-                if wit is not None:
-                    wit.setdefault(v, []).append((I, J))
-            idx += 1
+            sub = [[r[j - 1] for j in J] for r in sel]
+            v = Fraction(det_int(sub), denom)
+            census[v] += 1
+            if wit is not None:
+                wit.setdefault(v, []).append((I, J))
     if witnesses:
         return census, wit
     return census
-
-
-def merge_censuses(parts):
-    total = Counter()
-    for p in parts:
-        total.update(p)
-    return total
 
 
 def count_minors_equal(A: RatMatrix, k: int, t, scope: str = "all-pairs") -> int:
@@ -315,13 +289,3 @@ def census_to_csv(census: Counter) -> str:
 
 def census_to_json(census: Counter) -> str:
     return json.dumps({"census": [[str(v), m] for v, m in sorted(census.items())]})
-
-
-def census_from_csv(text: str) -> Counter:
-    out = Counter()
-    for ln in text.splitlines():
-        if not ln.strip() or ln.startswith("#"):
-            continue
-        v, m = ln.split(",")
-        out[Fraction(v)] = int(m)
-    return out

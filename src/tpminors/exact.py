@@ -7,10 +7,11 @@ Floating point is rejected at the boundary.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from typing import Optional
 
 Rational = Fraction
@@ -125,15 +126,15 @@ class TpVerdict:
 # determinants
 
 
-def _clear_denominators(rows):
-    """Scale each row to integers; return (int rows, product of scale factors)."""
+def clear_denominators(rows):
+    """Scale each row to integers; return (int rows, per-row scale factors)."""
     int_rows = []
-    scale = 1
+    scales = []
     for row in rows:
         m = lcm(*(e.denominator for e in row))
         int_rows.append([e.numerator * (m // e.denominator) for e in row])
-        scale *= m
-    return int_rows, scale
+        scales.append(m)
+    return int_rows, scales
 
 
 def _det_int_small(m, n):
@@ -190,8 +191,8 @@ def det(M: RatMatrix) -> Fraction:
     """Exact determinant of a square rational matrix."""
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix, got %dx%d" % (M.rows, M.cols))
-    int_rows, scale = _clear_denominators(M.entries)
-    return Fraction(det_int(int_rows), scale)
+    int_rows, scales = clear_denominators(M.entries)
+    return Fraction(det_int(int_rows), prod(scales))
 
 
 def minor(A: RatMatrix, I, J) -> Fraction:
@@ -263,6 +264,14 @@ def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:
 # text format: first line "rows cols", then rows of whitespace-separated
 # rationals written as p/q or bare integers; round-trips exactly.
 
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _entry_from_text(token):
+    if not _ENTRY.fullmatch(token):
+        raise ValueError("matrix entry %r is not an integer or p/q" % (token,))
+    return Fraction(token)
+
 
 def matrix_to_text(A: RatMatrix) -> str:
     lines = ["%d %d" % (A.rows, A.cols)]
@@ -286,5 +295,5 @@ def matrix_from_text(text: str) -> RatMatrix:
         toks = ln.split()
         if len(toks) != c:
             raise ValueError("expected %d entries per row, got %d" % (c, len(toks)))
-        rows.append([Fraction(t) for t in toks])
+        rows.append([_entry_from_text(t) for t in toks])
     return RatMatrix(rows)

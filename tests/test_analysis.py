@@ -52,6 +52,14 @@ class TestScan:
         assert report.partial_error is not None
         assert report.rows == []
 
+    def test_assembly_assertion_propagates(self, monkeypatch):
+        def broken(cfg):
+            raise AssertionError("assembled matrix unexpectedly not TP")
+
+        monkeypatch.setattr("tpminors.analysis.assemble_tp_2xn", broken)
+        with pytest.raises(AssertionError, match="unexpectedly not TP"):
+            scan_exponent(RunConfig("elekes-2xn", (2, 3, 4), seed=0))
+
     def test_deterministic_reports(self):
         cfg = RunConfig("elekes-2xn", (2, 3, 4), seed=5)
         a = report_to_csv(scan_exponent(cfg))

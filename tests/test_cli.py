@@ -1,8 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from tpminors.cli import main
+from tpminors.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -28,14 +32,6 @@ class TestConstructAndCensus:
         assert code == 0
         assert json.loads(out) == {"census": [["1", 4], ["2", 4], ["4", 1]]}
 
-    def test_threaded_census_identical(self, tmp_path, capsys):
-        mat = tmp_path / "g.txt"
-        run(capsys, "--out", str(mat), "construct", "grid", "--n", "6")
-        _, single, _ = run(capsys, "census", "--order", "2", "--input", str(mat))
-        _, multi, _ = run(capsys, "--threads", "3", "census", "--order", "2",
-                          "--input", str(mat))
-        assert single == multi
-
     def test_power_sum_defaults(self, tmp_path, capsys):
         code, out, _ = run(capsys, "construct", "power-sum", "--n", "2", "--k", "2")
         assert code == 0
@@ -46,6 +42,38 @@ class TestConstructAndCensus:
                            "--a", "1,2,3", "--b", "3,2,1", "--k", "3")
         assert code == 0
         assert out.splitlines()[1] == "16 25 36"
+
+
+class TestGlobalFlags:
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "7", "--out", "m.txt", "--format", "json", "construct", "grid"],
+        ["construct", "grid", "--seed", "7", "--out", "m.txt", "--format", "json"],
+        ["--seed", "7", "construct", "--out", "m.txt", "grid", "--format", "json"],
+        ["--format", "json", "--out", "m.txt", "construct", "--seed", "7", "grid"],
+    ])
+    def test_before_after_and_mixed(self, argv):
+        args = build_parser().parse_args(argv)
+        assert (args.seed, args.out, args.format) == (7, "m.txt", "json")
+
+    def test_defaults(self):
+        args = build_parser().parse_args(["construct", "grid"])
+        assert (args.seed, args.out, args.format) == (0, None, "csv")
+
+    def test_readme_grid_example(self, tmp_path, capsys):
+        mat = tmp_path / "grid.txt"
+        code, _, _ = run(capsys, "construct", "grid", "--n", "4", "--out", str(mat))
+        assert code == 0 and mat.read_text().startswith("4 4\n")
+        code, out, _ = run(capsys, "census", "--order", "2", "--input", str(mat),
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["census"][0] == ["1", 9]
+
+    def test_readme_cli_block_parses(self):
+        block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]
+        commands = [ln for ln in block.split("```", 1)[0].splitlines()
+                    if ln.startswith("tpminors ")]
+        assert len(commands) >= 10
+        for line in commands:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 class TestVerify:
@@ -141,6 +169,13 @@ class TestErrorPaths:
         code, _, err = run(capsys, "verify", "--input", str(bad))
         assert code == 1
         assert "error" in err
+
+    def test_decimal_entry_is_failure(self, tmp_path, capsys):
+        bad = tmp_path / "dec.txt"
+        bad.write_text("2 2\n1.5 1e3\n1 2\n")
+        code, out, err = run(capsys, "verify", "--input", str(bad))
+        assert code == 1 and out == ""
+        assert "'1.5'" in err
 
     def test_bad_precondition(self, capsys):
         code, _, err = run(capsys, "construct", "grid", "--n", "1")

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tpminors import (
     CanonicalizationError,
@@ -141,6 +143,60 @@ class TestCheckConstraints:
         assert 6 in ids  # point outside first quadrant
         # constraint 5: point (2,4) on origin-translate of slope-2 lines
         assert any(c == 5 for c, _ in rep.violations)
+
+
+def pairwise_violations(cfg):
+    """Slow oracle for check_constraints: every pair tested directly."""
+    out = []
+    lines, points = cfg.lines, cfg.points
+    for a, b in combinations(range(len(lines)), 2):
+        if lines[a].m == lines[b].m:
+            out.append((1, (a, b)))
+    for i, l in enumerate(lines):
+        if l.m <= 0:
+            out.append((2, (i,)))
+        if l.c <= 0:
+            out.append((3, (i,)))
+    for a, b in combinations(range(len(points)), 2):
+        p, q = points[a], points[b]
+        if p.x * q.y - p.y * q.x == 0:
+            out.append((4, (a, b)))
+    for i, l in enumerate(lines):
+        for j, p in enumerate(points):
+            if p.y == l.m * p.x:
+                out.append((5, (i, j)))
+    for j, p in enumerate(points):
+        if p.x <= 0 or p.y <= 0:
+            out.append((6, (j,)))
+    return out
+
+
+# few distinct values, so equal slopes, shared directions, the origin and
+# points with x = 0 all come up often
+coords = st.sampled_from([F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 2), F(3)])
+
+
+class TestCheckConstraintsOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.builds(Point2, coords, coords), unique=True, max_size=14),
+        st.lists(st.builds(Line2, coords, coords), unique=True, max_size=10),
+    )
+    def test_matches_pairwise(self, points, lines):
+        cfg = IncidenceConfig(tuple(points), tuple(lines))
+        assert check_constraints(cfg).violations == pairwise_violations(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        IncidenceConfig((), ()),
+        IncidenceConfig((Point2(0, 0),), ()),
+        IncidenceConfig((Point2(2, 4), Point2(0, 0), Point2(0, 3), Point2(0, -1)),
+                        (Line2(2, 1), Line2(0, 5), Line2(2, -1))),
+        elekes_config(2),
+        elekes_config(3),
+        canonicalize_config(elekes_config(3), seed=5),
+    ])
+    def test_adversarial(self, cfg):
+        assert check_constraints(cfg).violations == pairwise_violations(cfg)
 
 
 class TestCanonicalize:

@@ -21,7 +21,6 @@ from tpminors import (
     grid_area_k_count,
     grid_matrix,
     max_repeated_minor,
-    merge_censuses,
     minor_census,
     mu,
     multiset_diff,
@@ -59,15 +58,6 @@ class TestMinorCensus:
         census, wit = minor_census(grid_matrix(3), 2, witnesses=True)
         assert sorted(census.items()) == sorted((v, len(ws)) for v, ws in wit.items())
         assert ((1, 3), (1, 3)) in wit[F(4)]
-
-    def test_partition_merge_equals_whole(self):
-        A = grid_matrix(5)
-        whole = minor_census(A, 2)
-        for parts in (2, 3, 7):
-            merged = merge_censuses(
-                minor_census(A, 2, part=(i, parts)) for i in range(parts)
-            )
-            assert merged == whole
 
     def test_total_mass(self):
         from math import comb

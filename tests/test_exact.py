@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from tpminors import (
     verify_tp_contiguous,
 )
 from tpminors.constructions import grid_matrix, power_sum_matrix
+from tpminors.exact import det_int
 
 
 rationals = st.fractions(
@@ -63,6 +65,44 @@ class TestDet:
     def test_row_scaling_scales_det(self, rows, c):
         A = RatMatrix(rows)
         assert det(A.scale_row(1, c)) == c * det(A)
+
+
+class TestDetIntAgainstSympy:
+    """det_int against an outside exact determinant: cofactor path for
+    orders <= 4, Bareiss elimination beyond."""
+
+    @staticmethod
+    def sympy_det(m):
+        sympy = pytest.importorskip("sympy")
+        return int(sympy.Matrix(m).det(method="berkowitz"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-2**40, max_value=2**40), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    ))
+    def test_random(self, m):
+        assert det_int(m) == self.sympy_det(m)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_pivot_swaps(self, n):
+        anti = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+        assert det_int(anti) == self.sympy_det(anti)
+        # a singular leading 2x2 block: the second pivot vanishes mid-elimination
+        m = [[(3 * i + 5 * j + i * j) % 7 - 3 for j in range(n)] for i in range(n)]
+        if n >= 2:
+            m[0][:2], m[1][:2] = [1, 2], [2, 4]
+        assert det_int(m) == self.sympy_det(m)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_singular(self, n):
+        m = [[i * n + j + 1 for j in range(n)] for i in range(n)]
+        m[-1] = list(m[0])  # repeated row
+        assert det_int(m) == self.sympy_det(m) == 0
+        zero_col = [[0] + row[1:] for row in m]
+        assert det_int(zero_col) == self.sympy_det(zero_col) == 0
 
 
 class TestMinor:
@@ -193,6 +233,15 @@ class TestTextFormat:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             matrix_from_text("2 2\n1 2\n3\n")
+
+    @pytest.mark.parametrize("token", ["1.5", "1e3", "0x10", "1/2.0", "inf", "nan", "1//2"])
+    def test_non_rational_token_rejected(self, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            matrix_from_text("2 2\n1 %s\n1 2\n" % token)
+
+    def test_signed_tokens_accepted(self):
+        A = matrix_from_text("1 3\n-3/4 +2 -7\n")
+        assert A.entries == ((F(-3, 4), F(2), F(-7)),)
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
