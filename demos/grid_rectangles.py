@@ -24,7 +24,7 @@ n = 8
 G = grid_matrix(n)
 print("grid matrix n=%d, TP_2: %s" % (n, verify_tp(G, 2).ok))
 
-census = minor_census(G, 2, scope="all-pairs")
+census = minor_census(G, 2)
 pts = [Point2(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
 print("value  census  rectangles  closed-form")
 for v in sorted(census)[:10]:

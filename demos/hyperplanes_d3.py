@@ -27,9 +27,9 @@ pts = [A.column(j) for j in range(1, A.cols + 1)]
 ordered = point_hyperplane_incidences(
     pts, [h for _, h in fam], [I for I, _ in fam]
 )
-brute = count_minors_equal(A, 3, 1, scope="columns-only")
+brute = count_minors_equal(A, 3, 1)
 print("ordered incidences at level 1: %d" % ordered)
-print("unit 3x3 minors (columns-only): %d" % brute)
+print("unit 3x3 minors: %d" % brute)
 print("equal: %s" % (ordered == brute))
 
 ok, witness = verify_no_Kd2(pts, [h for _, h in fam])

@@ -30,7 +30,7 @@ for N in (2, 3, 4):
     assert point_line_incidences(canonical) == point_line_incidences(cfg)
 
     A = assemble_tp_2xn(canonical)
-    units = count_minors_equal(A, 2, 1, scope="columns-only")
+    units = count_minors_equal(A, 2, 1)
     print("  assembled 2x%d matrix, TP: %s, unit 2x2 minors: %d (>= N^4 = %d)"
           % (A.cols, verify_tp(A).ok, units, N ** 4))
 

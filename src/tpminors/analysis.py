@@ -90,7 +90,7 @@ def _measure(cfg: RunConfig, size: int):
         base = elekes_config(size)
         canonical = canonicalize_config(base, seed=cfg.seed * 1000 + size)
         A = assemble_tp_2xn(canonical)
-        count = count_minors_equal(A, 2, 1, scope="columns-only")
+        count = count_minors_equal(A, 2, 1)
         return A.cols, count, (("N", size),)
     if cfg.family == "grid":
         k = max(range(1, size // 2 + 1), key=lambda kk: grid_area_k_count(size, kk))
@@ -99,7 +99,7 @@ def _measure(cfg: RunConfig, size: int):
         a = range(1, size + 1)
         b = range(size, 0, -1)
         A = power_sum_matrix(a, b, 2)
-        value, count = max_repeated_minor(A, 2, scope="all-pairs")
+        value, count = max_repeated_minor(A, 2)
         return size, count, (("value", str(value)),)
     if cfg.family == "random-points":
         rng = random.Random(cfg.seed * 100003 + size)

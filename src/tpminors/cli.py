@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import analysis, constructions, counting, exact
 
@@ -35,7 +34,7 @@ def _int_list(s):
 
 
 def _frac_list(s):
-    return [Fraction(x) for x in s.split(",") if x.strip()]
+    return [exact.rat(x.strip()) for x in s.split(",") if x.strip()]
 
 
 def cmd_construct(args):
@@ -86,7 +85,7 @@ def cmd_verify(args):
 
 def cmd_census(args):
     A = exact.matrix_from_text(_read_input(args.input))
-    census = counting.minor_census(A, args.order, args.scope)
+    census = counting.minor_census(A, args.order)
     if args.format == "json":
         _write_output(args.out, counting.census_to_json(census) + "\n")
     else:
@@ -95,29 +94,29 @@ def cmd_census(args):
 
 
 def cmd_count_equal(args):
+    value = exact.rat(args.value)
     A = exact.matrix_from_text(_read_input(args.input))
-    census = counting.minor_census(A, args.order, args.scope)
-    _write_output(args.out, "%d\n" % census[Fraction(args.value)])
+    _write_output(args.out, "%d\n" % counting.count_minors_equal(A, args.order, value))
     return 0
 
 
 def cmd_rects(args):
     pts = constructions.points_from_json(_read_input(args.input))
-    n = counting.unit_rectangles(pts, Fraction(args.area), mode=args.mode)
+    n = counting.unit_rectangles(pts, exact.rat(args.area), mode=args.mode)
     _write_output(args.out, "%d\n" % n)
     return 0
 
 
 def cmd_mu(args):
-    doc = json.loads(_read_input(args.input))
+    doc = json.loads(_read_input(args.input), parse_float=str)
     if "A" in doc and "B" in doc:
-        A = counting.as_multiset(Fraction(v) for v in doc["A"])
-        B = counting.as_multiset(Fraction(v) for v in doc["B"])
+        A = counting.as_multiset(doc["A"])
+        B = counting.as_multiset(doc["B"])
         result = counting.mu(
             counting.multiset_prod(counting.multiset_diff(A, A), counting.multiset_diff(B, B))
         )
     elif "values" in doc:
-        result = counting.mu(Fraction(v) for v in doc["values"])
+        result = counting.mu(doc["values"])
     else:
         raise ValueError('mu input needs keys "A"/"B" or "values"')
     _write_output(args.out, "%d\n" % result)
@@ -130,7 +129,7 @@ def cmd_scan(args):
         sizes=tuple(_int_list(args.sizes)),
         seed=args.seed,
         mode=args.mode,
-        area=Fraction(args.area),
+        area=exact.rat(args.area),
     )
     report = analysis.scan_exponent(cfg)
     if args.format == "json":
@@ -141,7 +140,7 @@ def cmd_scan(args):
 
 
 def cmd_check_st(args):
-    ok = analysis.st_bound_check(args.m, args.n, args.incidences, Fraction(args.constant))
+    ok = analysis.st_bound_check(args.m, args.n, args.incidences, exact.rat(args.constant))
     _write_output(args.out, ("ok\n" if ok else "violated\n"))
     return 0 if ok else 1
 
@@ -186,14 +185,12 @@ def build_parser():
     ce = add_parser("census", help="minor-value census")
     ce.add_argument("--input", default=None)
     ce.add_argument("--order", type=int, required=True)
-    ce.add_argument("--scope", choices=counting.SCOPES, default="all-pairs")
     ce.set_defaults(func=cmd_census)
 
     cq = add_parser("count-equal", help="number of minors equal to a value")
     cq.add_argument("--input", default=None)
     cq.add_argument("--order", type=int, required=True)
     cq.add_argument("--value", default="1")
-    cq.add_argument("--scope", choices=counting.SCOPES, default="all-pairs")
     cq.set_defaults(func=cmd_count_equal)
 
     r = add_parser("rects", help="axis-parallel rectangle count for a point set")

@@ -18,7 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exact import RatMatrix, det, rat, verify_tp, verify_tp_contiguous
+from .exact import RatMatrix, det, rat, verify_tp_contiguous
+# verify_tp is not called here; perfbench/layers.py wraps it at this lookup site
+from .exact import verify_tp  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -307,10 +309,12 @@ def assemble_tp_2xn(cfg: IncidenceConfig) -> RatMatrix:
     """Assemble the 2x|Q| TP matrix from a canonical configuration.
 
     Q is the point set together with one mate point per line, sorted by
-    strictly increasing slope through the origin (a tie means the constraints
-    were not actually satisfied).  The count of 2x2 minors equal to 1 is at
-    least the incidence count of cfg, one unit minor per incidence via the
-    mate-point identity.
+    slope through the origin; the constraints make those slopes distinct.
+    The count of 2x2 minors equal to 1 is at least the incidence count of
+    cfg, one unit minor per incidence via the mate-point identity.  Total
+    positivity is certified by the solid-minor criterion
+    (verify_tp_contiguous: the 2n entries and the n-1 adjacent-column 2x2
+    minors), which agrees with the exhaustive verify_tp on every matrix.
     """
     report = check_constraints(cfg)
     if not report.ok:
@@ -319,11 +323,8 @@ def assemble_tp_2xn(cfg: IncidenceConfig) -> RatMatrix:
         )
     Q = list(cfg.points) + [mate_point(l) for l in cfg.lines]
     Q.sort(key=lambda p: p.y / p.x)
-    for a, b in zip(Q, Q[1:]):
-        if a.y / a.x == b.y / b.x:
-            raise ValueError("slope tie while assembling: %r vs %r" % (a, b))
     A = RatMatrix([[p.x for p in Q], [p.y for p in Q]])
-    verdict = verify_tp(A) if A.cols <= 200 else verify_tp_contiguous(A)
+    verdict = verify_tp_contiguous(A)
     if not verdict.ok:
         raise AssertionError("assembled matrix unexpectedly not TP: %r" % (verdict.witness,))
     return A
@@ -449,9 +450,9 @@ def config_to_json(cfg: IncidenceConfig) -> str:
 
 
 def config_from_json(text: str) -> IncidenceConfig:
-    doc = json.loads(text)
-    points = tuple(Point2(Fraction(x), Fraction(y)) for x, y in doc.get("points", []))
-    lines = tuple(Line2(Fraction(l["m"]), Fraction(l["c"])) for l in doc.get("lines", []))
+    doc = json.loads(text, parse_float=str)
+    points = tuple(Point2(x, y) for x, y in doc.get("points", []))
+    lines = tuple(Line2(l["m"], l["c"]) for l in doc.get("lines", []))
     return IncidenceConfig(points, lines)
 
 
@@ -460,5 +461,5 @@ def points_to_json(points) -> str:
 
 
 def points_from_json(text: str):
-    doc = json.loads(text)
-    return [Point2(Fraction(x), Fraction(y)) for x, y in doc["points"]]
+    doc = json.loads(text, parse_float=str)
+    return [Point2(x, y) for x, y in doc["points"]]

@@ -1,9 +1,9 @@
 """Exact censuses and counters.
 
-Minor-value censuses over index scopes, point-line and point-hyperplane
-incidences, unit-area axis-parallel rectangle counts, the grid closed form
-with the divisor function, and the multiset difference/product algebra with
-maximum multiplicity.  Counts are exact integers; census keys are canonical
+Minor-value censuses, point-line and point-hyperplane incidences, unit-area
+axis-parallel rectangle counts, the grid closed form with the divisor
+function, and the multiset difference/product algebra with maximum
+multiplicity.  Counts are exact integers; census keys are canonical
 reduced rationals, enumerated in one deterministic pass.
 """
 
@@ -13,66 +13,42 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import isqrt, prod
 
 from .constructions import IncidenceConfig, Point2
 from .exact import RatMatrix, clear_denominators, det_int, rat
 
-SCOPES = ("all-pairs", "columns-only")
 
+def minor_census(A: RatMatrix, k: int) -> Counter:
+    """Exact multiset of all k x k minor values of A.
 
-def _index_scope(A: RatMatrix, k: int, scope: str):
+    Returns a Counter mapping canonical Fraction -> multiplicity.  For
+    k = rows the only row tuple is (1..rows): the d x d minors of a d x n
+    matrix.
+    """
     if int(k) != k or k < 1:
         raise ValueError("minor order must be a positive integer")
     if k > min(A.rows, A.cols):
         raise ValueError("order %d exceeds matrix dimensions %dx%d" % (k, A.rows, A.cols))
-    if scope == "columns-only":
-        if k != A.rows:
-            raise ValueError("columns-only scope requires k = rows")
-        row_tuples = [tuple(range(1, A.rows + 1))]
-    elif scope == "all-pairs":
-        row_tuples = list(combinations(range(1, A.rows + 1), k))
-    else:
-        raise ValueError("unknown scope %r" % (scope,))
-    return row_tuples
-
-
-def minor_census(A: RatMatrix, k: int, scope: str = "all-pairs",
-                 witnesses: bool = False):
-    """Exact multiset of all k x k minor values over the chosen index scope.
-
-    Returns a Counter mapping canonical Fraction -> multiplicity; with
-    ``witnesses`` also a dict value -> list of (I, J).
-    """
-    row_tuples = _index_scope(A, k, scope)
     int_rows, scales = clear_denominators(A.entries)
     census = Counter()
-    wit = {} if witnesses else None
-    for I in row_tuples:
-        denom = 1
-        for i in I:
-            denom *= scales[i - 1]
-        sel = [int_rows[i - 1] for i in I]
-        for J in combinations(range(1, A.cols + 1), k):
-            sub = [[r[j - 1] for j in J] for r in sel]
-            v = Fraction(det_int(sub), denom)
-            census[v] += 1
-            if wit is not None:
-                wit.setdefault(v, []).append((I, J))
-    if witnesses:
-        return census, wit
+    for I in combinations(range(A.rows), k):
+        denom = prod(scales[i] for i in I)
+        sel = [int_rows[i] for i in I]
+        for J in combinations(range(A.cols), k):
+            census[Fraction(det_int([[r[j] for j in J] for r in sel]), denom)] += 1
     return census
 
 
-def count_minors_equal(A: RatMatrix, k: int, t, scope: str = "all-pairs") -> int:
-    """Number of k x k minors equal to t in the chosen scope."""
-    return minor_census(A, k, scope)[rat(t)]
+def count_minors_equal(A: RatMatrix, k: int, t) -> int:
+    """Number of k x k minors equal to t."""
+    return minor_census(A, k)[rat(t)]
 
 
-def max_repeated_minor(A: RatMatrix, k: int, scope: str = "all-pairs"):
+def max_repeated_minor(A: RatMatrix, k: int):
     """(value, multiplicity) of the most repeated minor; ties break to the
     smaller value."""
-    census = minor_census(A, k, scope)
+    census = minor_census(A, k)
     best = None
     for v, m in census.items():
         if best is None or m > best[1] or (m == best[1] and v < best[0]):
@@ -80,8 +56,8 @@ def max_repeated_minor(A: RatMatrix, k: int, scope: str = "all-pairs"):
     return best
 
 
-def distinct_minor_count(A: RatMatrix, k: int, scope: str = "all-pairs") -> int:
-    return len(minor_census(A, k, scope))
+def distinct_minor_count(A: RatMatrix, k: int) -> int:
+    return len(minor_census(A, k))
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +136,10 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     pts = [(p.x, p.y) if isinstance(p, Point2) else (rat(p[0]), rat(p[1])) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
-    dens = [v.denominator for xy in pts for v in xy]
-    L = lcm(*dens) if dens else 1
-    ipts = [(int(x * L), int(y * L)) for x, y in pts]
-    # (dx*dy) == area  <=>  (L*dx)(L*dy) * area.den == area.num * L^2
-    target = area.numerator * L * L
+    (xs, ys), (Lx, Ly) = clear_denominators([[x for x, _ in pts], [y for _, y in pts]])
+    ipts = list(zip(xs, ys))
+    # (dx*dy) == area  <=>  (Lx*dx)(Ly*dy) * area.den == area.num * Lx * Ly
+    target = area.numerator * Lx * Ly
     aden = area.denominator
     count = 0
     anti = mode == "both-diagonals"
@@ -213,7 +188,7 @@ def grid_area_k_count(n: int, k: int) -> int:
     integer grid [1..n]^2: sum over divisor pairs dx*dy = k with dx, dy <=
     n-1 of (n-dx)(n-dy).
 
-    Equals the multiplicity of value k in the 2x2 all-pairs minor census of
+    Equals the multiplicity of value k in the 2x2 minor census of
     grid_matrix(n).
     """
     if n < 2:

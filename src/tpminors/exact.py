@@ -17,10 +17,20 @@ from typing import Optional
 Rational = Fraction
 
 
+# the one text form of a rational: an integer or p/q, optionally signed
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rat(value) -> Fraction:
-    """Coerce an int, string like ``3/4``, or Fraction to an exact rational."""
+    """Coerce an int, Fraction, or string ``p/q`` or integer to an exact rational.
+
+    Floats are a TypeError; decimal, exponent and other strings are a
+    ValueError naming the token.
+    """
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact paths: %r" % (value,))
+    if isinstance(value, str) and not _ENTRY.fullmatch(value):
+        raise ValueError("%r is not an integer or p/q" % (value,))
     return Fraction(value)
 
 
@@ -264,14 +274,6 @@ def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:
 # text format: first line "rows cols", then rows of whitespace-separated
 # rationals written as p/q or bare integers; round-trips exactly.
 
-_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def _entry_from_text(token):
-    if not _ENTRY.fullmatch(token):
-        raise ValueError("matrix entry %r is not an integer or p/q" % (token,))
-    return Fraction(token)
-
 
 def matrix_to_text(A: RatMatrix) -> str:
     lines = ["%d %d" % (A.rows, A.cols)]
@@ -295,5 +297,5 @@ def matrix_from_text(text: str) -> RatMatrix:
         toks = ln.split()
         if len(toks) != c:
             raise ValueError("expected %d entries per row, got %d" % (c, len(toks)))
-        rows.append([_entry_from_text(t) for t in toks])
+        rows.append(toks)
     return RatMatrix(rows)

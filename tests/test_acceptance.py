@@ -81,7 +81,7 @@ def test_criterion_2_all_kxk_minors_positive():
         k = rng.randint(2, min(4, n))
         a = _random_increasing(rng, n)
         b = list(reversed(_random_increasing(rng, n)))
-        census = minor_census(power_sum_matrix(a, b, k), k, "all-pairs")
+        census = minor_census(power_sum_matrix(a, b, k), k)
         ok = ok and all(v > 0 for v in census)
     _report("2 corollary minor positivity", ok)
 
@@ -91,7 +91,7 @@ def test_criterion_3_lower_bound_pipeline(pipeline):
     for N, (cfg, can, A) in pipeline.items():
         ok = ok and A.rows == 2 and A.cols == 3 * N ** 3
         ok = ok and verify_tp(A).ok
-        units = count_minors_equal(A, 2, 1, "columns-only")
+        units = count_minors_equal(A, 2, 1)
         ok = ok and units >= N ** 4
         ok = ok and point_line_incidences(can) == N ** 4
     _report("3 lower-bound pipeline", ok)
@@ -107,7 +107,7 @@ def test_criterion_4_exponent_recovery():
 def test_criterion_5_grid_census_bridge():
     ok = True
     for n in range(2, 31):
-        census = minor_census(grid_matrix(n), 2, "all-pairs")
+        census = minor_census(grid_matrix(n), 2)
         for v, m in census.items():
             ok = ok and v.denominator == 1 and m == grid_area_k_count(n, v.numerator)
         ok = ok and sum(census.values()) == (n * (n - 1) // 2) ** 2
@@ -138,7 +138,7 @@ def test_criterion_7_hyperplane_equivalence_d3():
         fam = hyperplane_family(A, 1)  # raises if any pair proportional
         pts = [A.column(j) for j in range(1, A.cols + 1)]
         got = point_hyperplane_incidences(pts, [h for _, h in fam], [I for I, _ in fam])
-        want = count_minors_equal(A, 3, 1, "columns-only")
+        want = count_minors_equal(A, 3, 1)
         ok = ok and got == want and want >= 1
         free, _ = verify_no_Kd2(pts, [h for _, h in fam])
         ok = ok and free

@@ -180,3 +180,74 @@ class TestErrorPaths:
     def test_bad_precondition(self, capsys):
         code, _, err = run(capsys, "construct", "grid", "--n", "1")
         assert code == 1
+
+
+class TestRationalInputs:
+    """Every rational the CLI reads, from a flag or a JSON value, is an
+    integer or p/q; anything else exits 1 naming the token."""
+
+    def rejected(self, capsys, token, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert repr(token) in err
+
+    def json_file(self, tmp_path, doc):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_count_equal_value(self, tmp_path, capsys):
+        mat = tmp_path / "g.txt"
+        run(capsys, "--out", str(mat), "construct", "grid", "--n", "4")
+        self.rejected(capsys, "1e0", "count-equal", "--order", "2", "--value", "1e0",
+                      "--input", str(mat))
+
+    def test_rects_area(self, tmp_path, capsys):
+        pts = self.json_file(tmp_path, {"points": [["1", "2"], ["2", "3"]]})
+        self.rejected(capsys, "1.5", "rects", "--area", "1.5", "--input", pts)
+
+    def test_scan_area(self, capsys):
+        self.rejected(capsys, "0.5", "scan", "--family", "random-points",
+                      "--sizes", "30,60,120", "--area", "0.5")
+
+    def test_check_st_constant(self, capsys):
+        self.rejected(capsys, "2.5", "check-st", "--m", "1", "--n", "1",
+                      "--incidences", "1", "--constant", "2.5")
+
+    def test_power_sum_lists(self, capsys):
+        self.rejected(capsys, "1.5", "construct", "power-sum",
+                      "--a", "1.5,2", "--b", "3,2", "--k", "2")
+        self.rejected(capsys, "2e0", "construct", "power-sum",
+                      "--a", "1,2", "--b", "2e0,1", "--k", "2")
+
+    def test_power_sum_lists_strip_spaces(self, capsys):
+        _, plain, _ = run(capsys, "construct", "power-sum",
+                          "--a", "1,2,3", "--b", "3,2,1", "--k", "3")
+        code, spaced, _ = run(capsys, "construct", "power-sum",
+                              "--a", " 1, 2 ,3", "--b", "3, 2, 1 ", "--k", "3")
+        assert code == 0 and spaced == plain
+
+    @pytest.mark.parametrize("points", [
+        [["1.5", "2"], ["2.5", "3"]],  # decimal strings
+        [[1.5, 2], [2.5, 3]],  # JSON numbers
+    ])
+    def test_rects_points(self, tmp_path, capsys, points):
+        pts = self.json_file(tmp_path, {"points": points})
+        self.rejected(capsys, "1.5", "rects", "--input", pts)
+
+    @pytest.mark.parametrize("doc, token", [
+        ({"values": [1, 1.5]}, "1.5"),
+        ({"values": ["1", "2e3"]}, "2e3"),
+        ({"A": ["1", "0.5"], "B": ["1", "2"]}, "0.5"),
+        ({"A": ["1", "2"], "B": [1, 2.25]}, "2.25"),
+    ])
+    def test_mu_values(self, tmp_path, capsys, doc, token):
+        self.rejected(capsys, token, "mu", "--input", self.json_file(tmp_path, doc))
+
+    def test_json_integers_accepted(self, tmp_path, capsys):
+        pts = self.json_file(tmp_path, {"points": [[1, 1], [2, 2]]})
+        code, out, _ = run(capsys, "rects", "--input", pts)
+        assert code == 0 and out == "1\n"
+        code, out, _ = run(capsys, "mu", "--input",
+                           self.json_file(tmp_path, {"values": [1, 1, 2]}))
+        assert code == 0 and out == "2\n"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from tpminors import (
     minor,
     minor_census,
     point_line_incidences,
+    points_from_json,
     power_sum_det_closed_form,
     power_sum_matrix,
     verify_no_Kd2,
@@ -206,6 +208,14 @@ class TestCanonicalize:
         assert point_line_incidences(can) == point_line_incidences(cfg) == 16
         assert check_constraints(can).ok
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_preserves_incidence_pairs(self, N, seed):
+        cfg = elekes_config(N)
+        can = canonicalize_config(cfg, seed=seed)
+        assert (point_line_incidences(can, return_pairs=True)[1]
+                == point_line_incidences(cfg, return_pairs=True)[1])
+
     def test_deterministic_given_seed(self):
         a = canonicalize_config(elekes_config(2), seed=9)
         b = canonicalize_config(elekes_config(2), seed=9)
@@ -235,14 +245,14 @@ class TestAssemble:
         cfg = IncidenceConfig((Point2(1, 2), Point2(2, 3)), (Line2(1, 1),))
         A = assemble_tp_2xn(cfg)
         assert A == RatMatrix([[1, 2, 1], [1, 3, 2]])
-        assert count_minors_equal(A, 2, 1, "columns-only") == 3
+        assert count_minors_equal(A, 2, 1) == 3
 
     def test_canonical_elekes(self):
         can = canonicalize_config(elekes_config(2), seed=7)
         A = assemble_tp_2xn(can)
         assert (A.rows, A.cols) == (2, 24)
         assert verify_tp(A).ok
-        assert count_minors_equal(A, 2, 1, "columns-only") >= 16
+        assert count_minors_equal(A, 2, 1) >= 16
 
     def test_points_only(self):
         cfg = IncidenceConfig((Point2(2, 1), Point2(1, 2), Point2(1, 5)), ())
@@ -320,7 +330,7 @@ class TestGridMatrix:
     def test_minor_multiset_matches_area_products(self):
         n = 5
         G = grid_matrix(n)
-        census = minor_census(G, 2, "all-pairs")
+        census = minor_census(G, 2)
         from collections import Counter
         expected = Counter()
         for i in range(1, n + 1):
@@ -389,3 +399,20 @@ class TestConfigJson:
     def test_fraction_coordinates(self):
         cfg = IncidenceConfig((Point2(F(1, 3), F(2, 7)),), (Line2(F(5, 2), F(1, 9)),))
         assert config_from_json(config_to_json(cfg)) == cfg
+
+    @pytest.mark.parametrize("text, token", [
+        ('{"points": [["1.5", "2"]], "lines": []}', "1.5"),
+        ('{"points": [[1, 2.5]], "lines": []}', "2.5"),
+        ('{"points": [], "lines": [{"m": 1e3, "c": "1"}]}', "1e3"),
+    ])
+    def test_config_decimal_rejected(self, text, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            config_from_json(text)
+
+    @pytest.mark.parametrize("text, token", [
+        ('{"points": [["1.5", "2"]]}', "1.5"),
+        ('{"points": [[1, 2.5]]}', "2.5"),
+    ])
+    def test_points_decimal_rejected(self, text, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            points_from_json(text)

@@ -194,6 +194,34 @@ class TestContiguousCriterion:
         assert verify_tp_contiguous(A).ok == verify_tp(A).ok
 
 
+class TestContiguousOnSlopeSorted:
+    """The certificate of assemble_tp_2xn on the matrices it is given: a
+    positive 2 x n matrix with columns sorted by slope, which is TP exactly
+    when the slopes increase strictly.  An injected tie or one swapped
+    adjacent pair must fail both checks."""
+
+    positive = st.fractions(min_value=F(1, 8), max_value=20, max_denominator=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(positive, positive), min_size=2, max_size=12),
+        st.sampled_from(("sorted", "tie", "swap")),
+        st.data(),
+    )
+    def test_agrees_with_exhaustive(self, cols, defect, data):
+        cols.sort(key=lambda p: p[1] / p[0])
+        i = data.draw(st.integers(min_value=0, max_value=len(cols) - 2))
+        if defect == "tie":
+            c = data.draw(self.positive)
+            cols[i + 1] = (c * cols[i][0], c * cols[i][1])
+        elif defect == "swap":
+            cols[i], cols[i + 1] = cols[i + 1], cols[i]
+        A = RatMatrix([[x for x, _ in cols], [y for _, y in cols]])
+        slopes = [y / x for x, y in cols]
+        assert verify_tp(A).ok == all(a < b for a, b in zip(slopes, slopes[1:]))
+        assert verify_tp_contiguous(A).ok == verify_tp(A).ok
+
+
 class TestScaleToUnit:
     def test_scale_row(self):
         A = scale_to_unit(RatMatrix([[2, 4], [1, 3]]), (1, 2), (1, 2))
