@@ -224,12 +224,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, constructions.CanonicalizationError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+    # JSONDecodeError is a ValueError, so it is caught first
     except (OSError, json.JSONDecodeError) as e:
         print("i/o error: %s" % e, file=sys.stderr)
         return 2
+    except (ValueError, ZeroDivisionError, constructions.CanonicalizationError) as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

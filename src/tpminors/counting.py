@@ -3,8 +3,8 @@
 Minor-value censuses, point-line and point-hyperplane incidences, unit-area
 axis-parallel rectangle counts, the grid closed form with the divisor
 function, and the multiset difference/product algebra with maximum
-multiplicity.  Counts are exact integers; census keys are canonical
-reduced rationals, enumerated in one deterministic pass.
+multiplicity.  Counts are exact integers; a minor census counts integer
+determinants and builds one canonical reduced rational per distinct value.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 from .constructions import IncidenceConfig, Point2
 from .exact import RatMatrix, clear_denominators, det_int, rat
@@ -22,21 +22,27 @@ from .exact import RatMatrix, clear_denominators, det_int, rat
 def minor_census(A: RatMatrix, k: int) -> Counter:
     """Exact multiset of all k x k minor values of A.
 
-    Returns a Counter mapping canonical Fraction -> multiplicity.  For
-    k = rows the only row tuple is (1..rows): the d x d minors of a d x n
-    matrix.
+    Returns a Counter mapping canonical Fraction -> multiplicity.  Denominators
+    are cleared once, on the axis with narrower integers (rows on a tie; for
+    columns, on the transpose: det M = det M^T).  Per row tuple the integer
+    determinants are counted, then one Fraction is built per distinct value.
+    For k = rows the only row tuple is (1..rows): the d x d minors of a
+    d x n matrix.
     """
     if int(k) != k or k < 1:
         raise ValueError("minor order must be a positive integer")
     if k > min(A.rows, A.cols):
         raise ValueError("order %d exceeds matrix dimensions %dx%d" % (k, A.rows, A.cols))
-    int_rows, scales = clear_denominators(A.entries)
+    int_rows, scales = min(
+        clear_denominators(A.entries), clear_denominators(zip(*A.entries)),
+        key=lambda cleared: max(abs(x).bit_length() for row in cleared[0] for x in row))
     census = Counter()
-    for I in combinations(range(A.rows), k):
+    for I in combinations(range(len(int_rows)), k):
         denom = prod(scales[i] for i in I)
-        sel = [int_rows[i] for i in I]
-        for J in combinations(range(A.cols), k):
-            census[Fraction(det_int([[r[j] for j in J] for r in sel]), denom)] += 1
+        cols = zip(*(int_rows[i] for i in I))
+        # each column tuple is a transposed k x k submatrix: the same determinant
+        for v, m in Counter(map(det_int, combinations(cols, k))).items():
+            census[Fraction(v, denom)] += m
     return census
 
 
@@ -257,10 +263,16 @@ def mu_nonzero(C) -> int:
 # census serialization: rows "value,multiplicity" sorted by value
 
 
+def _sorted_census(census: Counter):
+    """Items by value, compared exactly as integers over the lcm L of the denominators."""
+    L = lcm(*(v.denominator for v in census))
+    return sorted(census.items(), key=lambda vm: vm[0].numerator * (L // vm[0].denominator))
+
+
 def census_to_csv(census: Counter) -> str:
-    lines = ["%s,%d" % (v, m) for v, m in sorted(census.items())]
+    lines = ["%s,%d" % (v, m) for v, m in _sorted_census(census)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def census_to_json(census: Counter) -> str:
-    return json.dumps({"census": [[str(v), m] for v, m in sorted(census.items())]})
+    return json.dumps({"census": [[str(v), m] for v, m in _sorted_census(census)]})

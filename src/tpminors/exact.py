@@ -91,7 +91,10 @@ class RatMatrix:
         """Submatrix A_{I,J} selected by 1-based strictly increasing tuples."""
         I = check_index_tuple(I, self.rows, "row tuple")
         J = check_index_tuple(J, self.cols, "column tuple")
-        return RatMatrix(tuple(tuple(self._rows[i - 1][j - 1] for j in J) for i in I))
+        # the entries are already reduced Fractions: skip the rat pass of __init__
+        sub = RatMatrix.__new__(RatMatrix)
+        sub._rows = tuple(tuple(self._rows[i - 1][j - 1] for j in J) for i in I)
+        return sub
 
     def scale_row(self, i, factor):
         """New matrix with 1-based row ``i`` multiplied by ``factor``."""

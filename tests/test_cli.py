@@ -163,6 +163,14 @@ class TestErrorPaths:
         code, _, err = run(capsys, "verify", "--input", "/nonexistent/m.txt")
         assert code == 2
 
+    @pytest.mark.parametrize("cmd", ["rects", "mu"])
+    def test_malformed_json_is_io_error(self, tmp_path, capsys, cmd):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"points": [')
+        code, out, err = run(capsys, cmd, "--input", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("i/o error:")
+
     def test_malformed_matrix_is_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a matrix\n")

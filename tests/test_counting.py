@@ -1,6 +1,9 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +35,46 @@ from tpminors import (
     unit_rectangles,
     verify_no_Kd2,
 )
+from tpminors import counting
+from tpminors.counting import census_to_csv, census_to_json
+from tpminors.exact import clear_denominators, det_int
+
+
+def census_oracle(A, k):
+    """The per-minor census: denominators cleared per row, one Fraction and
+    one Counter update per minor."""
+    int_rows, scales = clear_denominators(A.entries)
+    census = Counter()
+    for I in combinations(range(A.rows), k):
+        denom = prod(scales[i] for i in I)
+        sel = [int_rows[i] for i in I]
+        for J in combinations(range(A.cols), k):
+            census[F(det_int([[r[j] for j in J] for r in sel]), denom)] += 1
+    return census
+
+
+@st.composite
+def census_matrices(draw):
+    """Up to 4x6 rational matrices whose denominators follow the rows, the
+    columns, both, or each entry, so either axis can be the narrower one and
+    integer matrices tie; numerators include zero and negatives."""
+    r = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("row", "column", "both", "entry")))
+    dens = st.integers(1, 60)
+
+    def axis_dens(n, kinds):
+        return draw(st.lists(dens, min_size=n, max_size=n)) if kind in kinds else [1] * n
+
+    row_d, col_d = axis_dens(r, ("row", "both")), axis_dens(c, ("column", "both"))
+    rows = []
+    for i in range(r):
+        row = []
+        for j in range(c):
+            d = draw(dens) if kind == "entry" else row_d[i] * col_d[j]
+            row.append(F(draw(st.integers(-30, 30)), d))
+        rows.append(row)
+    return RatMatrix(rows)
 
 
 class TestMinorCensus:
@@ -55,6 +98,60 @@ class TestMinorCensus:
         A = power_sum_matrix(range(1, 6), range(5, 0, -1), 2)
         census = minor_census(A, 2)
         assert sum(census.values()) == comb(5, 2) ** 2
+
+
+class TestCensusAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(census_matrices())
+    def test_every_order(self, A):
+        for k in range(1, min(A.rows, A.cols) + 1):
+            assert minor_census(A, k) == census_oracle(A, k)
+
+    def operand_bits(self, monkeypatch, A, k):
+        """Census of A and the widest integer handed to det_int."""
+        widths = []
+
+        def recording(m):
+            widths.append(max(abs(x).bit_length() for row in m for x in row))
+            return det_int(m)
+
+        monkeypatch.setattr(counting, "det_int", recording)
+        return minor_census(A, k), max(widths)
+
+    # column denominators 7, 11, 13: per column the integers stay below 16,
+    # per row they are multiplied by up to 13 * 11
+    COLS = [[F(1, 7), F(2, 11), F(3, 13), F(4, 11)],
+            [F(2, 7), F(5, 11), F(9, 13), F(1, 11)],
+            [F(3, 7), F(1, 11), F(4, 13), F(7, 11)]]
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["column-axis", "row-axis"])
+    def test_narrower_axis_is_cleared(self, monkeypatch, transpose):
+        rows = [list(r) for r in zip(*self.COLS)] if transpose else self.COLS
+        A = RatMatrix(rows)
+        for k in (1, 2, 3):
+            census, bits = self.operand_bits(monkeypatch, A, k)
+            assert census == census_oracle(A, k)
+            assert bits <= 4  # the integers 1..9, never scaled by another axis
+
+
+class TestCensusOutputOrder:
+    values = st.fractions(min_value=-10 ** 6, max_value=10 ** 6) | st.builds(
+        F, st.integers(-10 ** 40, 10 ** 40),
+        st.sampled_from((1, 2, 3, 10 ** 9 + 7, 2 ** 61 - 1, 998244353 * 10 ** 9 + 9)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(values, st.integers(1, 10 ** 6), max_size=40))
+    def test_sorted_by_value(self, items):
+        census = Counter(items)
+        rows = sorted(census.items())
+        assert census_to_csv(census) == "".join("%s,%d\n" % (v, m) for v, m in rows)
+        assert census_to_json(census) == json.dumps({"census": [[str(v), m] for v, m in rows]})
+
+    def test_empty_and_zero(self):
+        assert census_to_csv(Counter()) == ""
+        assert census_to_json(Counter()) == '{"census": []}'
+        census = Counter({F(0): 2, F(-1, 3): 1, F(1, 3): 4})
+        assert census_to_csv(census) == "-1/3,1\n0,2\n1/3,4\n"
 
 
 class TestCountersOverCensus:

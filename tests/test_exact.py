@@ -222,6 +222,21 @@ class TestContiguousOnSlopeSorted:
         assert verify_tp_contiguous(A).ok == verify_tp(A).ok
 
 
+class TestSubmatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_equals_and_hashes_like_constructed(self, r, c, data):
+        A = RatMatrix(data.draw(st.lists(st.lists(rationals, min_size=c, max_size=c),
+                                         min_size=r, max_size=r)))
+        idx = lambda n: tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
+        I, J = idx(r), idx(c)
+        sub = A.submatrix(I, J)
+        built = RatMatrix([[A.entry(i, j) for j in J] for i in I])
+        assert sub == built and hash(sub) == hash(built)
+        assert (sub.rows, sub.cols) == (len(I), len(J))
+        assert sub.submatrix((1,), (1,)) == RatMatrix([[A.entry(I[0], J[0])]])
+
+
 class TestScaleToUnit:
     def test_scale_row(self):
         A = scale_to_unit(RatMatrix([[2, 4], [1, 3]]), (1, 2), (1, 2))
