@@ -2,7 +2,7 @@
 
 Subcommands: construct {grid|power-sum|elekes|tp2xn}, verify, census,
 count-equal, rects, mu, scan, check-st.  Exit codes: 0 success,
-1 precondition/verification failure, 2 I/O or format error.
+1 precondition/verification failure, 2 I/O error or malformed JSON.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ def _frac_list(s):
 
 def cmd_construct(args):
     if args.what == "grid":
+        if args.n is None:
+            raise ValueError("grid needs --n")
         A = constructions.grid_matrix(args.n)
         _write_output(args.out, exact.matrix_to_text(A))
     elif args.what == "power-sum":

@@ -18,9 +18,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exact import RatMatrix, det, rat, verify_tp_contiguous
+from .exact import RatMatrix, clear_denominators, det, det_int, rat, verify_tp_contiguous
 # verify_tp is not called here; perfbench/layers.py wraps it at this lookup site
 from .exact import verify_tp  # noqa: F401
+# canonicalize_config calls det_int3 once per attempt (its singularity test);
+# perfbench/layers.py wraps this name to count the attempts
+from .exact import det_int as det_int3
 
 
 @dataclass(frozen=True)
@@ -204,94 +207,61 @@ def check_constraints(cfg: IncidenceConfig) -> ConstraintReport:
     return report
 
 
-# -- projective helpers (3x3 integer matrices on homogeneous coordinates) ---
-
-
-def det_int3(M):
-    return (
-        M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-        - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-        + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-    )
-
-
-def _adjugate3(M):
-    c = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            sub = [
-                [M[r][s] for s in range(3) if s != j] for r in range(3) if r != i
-            ]
-            c[j][i] = (-1) ** (i + j) * (sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0])
-    return c
-
-
-def _apply3(M, v):
-    return tuple(sum(M[i][k] * v[k] for k in range(3)) for i in range(3))
-
-
-def _line_coeffs(l: Line2):
-    # y = m x + c  <->  [-m, 1, -c] . (x, y, 1) = 0
-    return (-l.m, Fraction(1), -l.c)
-
-
 def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> IncidenceConfig:
     """Relabel cfg by an exact projective-then-affine map into canonical form.
 
     The incidence graph is preserved bijectively and the result passes
-    check_constraints with no violations.  Each attempt draws a random
-    integer projective map whose vanishing line misses all points, then
-    applies deterministic shears/translations to make slopes, intercepts, and
-    point coordinates positive.  Lines whose crossing the map sends to
-    infinity come out vertical (rejected here) or parallel (constraint 1);
-    check_constraints is the one test for those and every other residual
-    coincidence, and a violation triggers a retry.  Deterministic given
-    (cfg, seed); raises after ``budget`` attempts.
+    check_constraints with no violations.  Points (x, y, 1) and lines
+    (-m, 1, -c) are cleared once to integer homogeneous vectors.  Each
+    attempt draws a random integer 3x3 map M; it is rejected if M is
+    singular, if its vanishing line meets a point (an image with third
+    coordinate 0) or if a line comes out vertical.  Lines map by the
+    adjugate of M, all in integers; rationals appear only when the images
+    are dehomogenized.  One shear and translation then make slopes,
+    intercepts and point coordinates positive.  Lines whose crossing the map
+    sends to infinity come out vertical (rejected) or parallel
+    (constraint 1); check_constraints is the one test for those and every
+    other residual coincidence, and a violation triggers a retry.
+    Deterministic given (cfg, seed); raises after ``budget`` attempts.
     """
     if len(set(cfg.points)) != len(cfg.points):
         raise ValueError("points must be distinct")
     rng = random.Random(seed)
-    line_vecs = [_line_coeffs(l) for l in cfg.lines]
-    point_vecs = [(p.x, p.y, Fraction(1)) for p in cfg.points]
+    point_vecs, _ = clear_denominators((p.x, p.y, 1) for p in cfg.points)
+    line_vecs, _ = clear_denominators((-l.m, 1, -l.c) for l in cfg.lines)
     last_report = None
     for _ in range(budget):
         M = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
         if det_int3(M) == 0:
             continue
         # vanishing-line test: nothing we care about may map to infinity
-        imgs = [_apply3(M, v) for v in point_vecs]
+        imgs = [[r[0] * X + r[1] * Y + r[2] * Z for r in M] for X, Y, Z in point_vecs]
         if any(w[2] == 0 for w in imgs):
             continue
-        pts = [Point2(w[0] / w[2], w[1] / w[2]) for w in imgs]
-        adj = _adjugate3(M)
-        # line coefficients transform by the adjugate (inverse up to scale)
-        new_lines = []
-        vertical = False
-        for v in line_vecs:
-            A, B, C = (sum(v[i] * adj[i][j] for i in range(3)) for j in range(3))
-            if B == 0:
-                vertical = True
-                break
-            new_lines.append(Line2(-A / B, -C / B))
-        if vertical:
+        # line vectors transform by the adjugate (inverse up to scale): entry
+        # (i, j) is (-1)^(i+j) times the minor of M without row j and column i
+        adj = [[(-1) ** (i + j) * det_int([[M[r][c] for c in range(3) if c != i]
+                                            for r in range(3) if r != j])
+                for j in range(3)] for i in range(3)]
+        line_imgs = [[sum(v[i] * adj[i][j] for i in range(3)) for j in range(3)]
+                     for v in line_vecs]
+        if any(B == 0 for _, B, _ in line_imgs):
             continue
-        # shear y -> y + t*x pushes every slope above zero
-        min_m = min(l.m for l in new_lines) if new_lines else Fraction(1)
-        t = Fraction(1) - min_m if min_m <= 0 else Fraction(0)
-        pts = [Point2(p.x, p.y + t * p.x) for p in pts]
-        new_lines = [Line2(l.m + t, l.c) for l in new_lines]
-        # translate into the first quadrant with positive intercepts
-        min_x = min((p.x for p in pts), default=Fraction(1))
-        u = Fraction(1) - min_x if min_x <= 0 else Fraction(0)
-        min_y = min((p.y for p in pts), default=Fraction(1))
-        v_lo = max(
-            [Fraction(0) - min_y] + [l.m * u - l.c for l in new_lines]
-        ) if (new_lines or pts) else Fraction(0)
-        v = v_lo + 1
-        pts = [Point2(p.x + u, p.y + v) for p in pts]
-        new_lines = [Line2(l.m, l.c + v - l.m * u) for l in new_lines]
+        pts = [(Fraction(X, Z), Fraction(Y, Z)) for X, Y, Z in imgs]
+        lines = [(Fraction(-A, B), Fraction(-C, B)) for A, B, C in line_imgs]
+        # shear y -> y + t*x pushes every slope above zero, then translate by
+        # (u, v) into the first quadrant with positive intercepts
+        min_m = min((m for m, _ in lines), default=1)
+        t = 1 - min_m if min_m <= 0 else 0
+        min_x = min((x for x, _ in pts), default=1)
+        u = 1 - min_x if min_x <= 0 else 0
+        min_y = min((y + t * x for x, y in pts), default=1)
+        v = max([-min_y] + [(m + t) * u - c for m, c in lines]) + 1
         try:
-            candidate = IncidenceConfig(tuple(pts), tuple(new_lines))
+            candidate = IncidenceConfig(
+                tuple(Point2(x + u, y + t * x + v) for x, y in pts),
+                tuple(Line2(m + t, c + v - (m + t) * u) for m, c in lines),
+            )
         except ValueError:
             continue
         report = check_constraints(candidate)

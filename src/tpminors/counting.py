@@ -10,6 +10,7 @@ determinants and builds one canonical reduced rational per distinct value.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -29,7 +30,8 @@ def minor_census(A: RatMatrix, k: int) -> Counter:
     For k = rows the only row tuple is (1..rows): the d x d minors of a
     d x n matrix.
     """
-    if int(k) != k or k < 1:
+    k = operator.index(k)
+    if k < 1:
         raise ValueError("minor order must be a positive integer")
     if k > min(A.rows, A.cols):
         raise ValueError("order %d exceeds matrix dimensions %dx%d" % (k, A.rows, A.cols))
@@ -54,12 +56,7 @@ def count_minors_equal(A: RatMatrix, k: int, t) -> int:
 def max_repeated_minor(A: RatMatrix, k: int):
     """(value, multiplicity) of the most repeated minor; ties break to the
     smaller value."""
-    census = minor_census(A, k)
-    best = None
-    for v, m in census.items():
-        if best is None or m > best[1] or (m == best[1] and v < best[0]):
-            best = (v, m)
-    return best
+    return min(minor_census(A, k).items(), key=lambda vm: (-vm[1], vm[0]))
 
 
 def distinct_minor_count(A: RatMatrix, k: int) -> int:

@@ -7,6 +7,7 @@ Floating point is rejected at the boundary.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ def rat(value) -> Fraction:
 
 def check_index_tuple(t, bound, name="index tuple"):
     """Validate a 1-based strictly increasing index tuple against a dimension."""
-    t = tuple(int(i) for i in t)
+    t = tuple(operator.index(i) for i in t)
     if not t:
         raise ValueError("%s must be nonempty (order-0 minors are not defined)" % name)
     if any(b <= a for a, b in zip(t, t[1:])):
@@ -229,6 +230,8 @@ def verify_tp(A: RatMatrix, max_order=None) -> TpVerdict:
     """
     if max_order is None:
         max_order = min(A.rows, A.cols)
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1, got %d" % max_order)
     for k in range(1, max_order + 1):
         for I in combinations(range(1, A.rows + 1), k):
             for J in combinations(range(1, A.cols + 1), k):

@@ -93,6 +93,14 @@ class TestVerify:
         assert code == 1
         assert "not TP" in out
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_order_below_one_is_failure(self, tmp_path, capsys, order):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 2\n-1 2\n3 -4\n")
+        code, out, err = run(capsys, "verify", "--order", order, "--input", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_contiguous_flag(self, tmp_path, capsys):
         mat = tmp_path / "m.txt"
         run(capsys, "--out", str(mat), "construct", "power-sum",
@@ -188,6 +196,11 @@ class TestErrorPaths:
     def test_bad_precondition(self, capsys):
         code, _, err = run(capsys, "construct", "grid", "--n", "1")
         assert code == 1
+
+    def test_grid_without_n_is_failure(self, capsys):
+        code, out, err = run(capsys, "construct", "grid")
+        assert code == 1 and out == ""
+        assert err == "error: grid needs --n\n"
 
 
 class TestRationalInputs:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction as F
@@ -238,6 +239,59 @@ class TestCanonicalize:
         with pytest.raises(CanonicalizationError) as err:
             canonicalize_config(elekes_config(2), seed=0, budget=0)
         assert err.value.config is not None
+
+
+# SHA-256 of config_to_json(canonicalize_config(elekes_config(N), seed)).
+# Canonical output is pinned byte for byte: a change to the RNG draws, the
+# order of the rejection tests or the arithmetic shows here.
+CANONICAL_SHA256 = {
+    (1, 0): "faee3656ce6bb3a53af167f73c75db12191c16d07780177673142dda6b0351a8",
+    (1, 1): "a285ec0e73dba1f22870c00bfaa07e5668274e951131c3cf9fbe0c82e6248948",
+    (1, 2): "dbd5a908531e81dbbe9174c3bd503d68e5731f1c6dc41e43b36df44b5c552252",
+    (1, 42001): "e20ffbfa9f4d473b3233591c0904b6a631a9444457e2b95fc9f3cc7522592285",
+    (2, 0): "2da77287b72477eadd2373e5f7c2fd5f0de5eaeabad0c58b987d1017dbf3e1a0",
+    (2, 1): "25fbd711475a3831b881596f9787d4600300e8e2d9f3ce33aa2757a6b40740cd",
+    (2, 2): "898bbef7f9117af3ba899f52ef9dcdc6c35854ec5ba37a3df829f6ec9908977f",
+    (2, 42002): "6686e688c2ea6e239ebb2aa3abf8a9f0d0cf72e6ad232420c5a847f2ba92169b",
+    (3, 0): "d6dddc0e5c2092e1da4182d58fd2c54c646edd4a7ab4c4d094bddb1c89c3d6ba",
+    (3, 1): "96822941865eeac5581f2917e45d090e7928dbd949d12a60a30ac6eef2f5b8b3",
+    (3, 2): "3050f44ad7b89b9d28edfa3f67380c41a52e9634eebb0aaca59c124631069102",
+    (3, 42003): "eee4ed311dac504e2590c1c6147f80f5938b283211309f98e1dfd20f616d192c",
+    (4, 0): "27e4b1286eb45503121e4d521623c6bbebed474b637cc4bc40a6df4ea8f61c1f",
+    (4, 1): "fcdd9fd5a0621b0f24cd27ecceef78d29018a40e182c43cc46b568f6182f48b9",
+    (4, 2): "56fce6c2d268a8e99153e206df913ca9589f418a2870ccbbbcd813553af4bed0",
+    (4, 42004): "73395e2c97073c90a41ce4bb8fb4a8b98038df108e41cd7b203f1f220166090f",
+    (5, 0): "12c001755dbaddaf68aeadc5180c777faf5ef8caa57b8af95364209a19cdb9b3",
+    (5, 1): "ff5d9c684b13d904190e8fd8ff094786e095ac05c9a7b9a604d3603df3cb7143",
+    (5, 2): "86a8a75511027adc48c88f855a29ec5d8fb1cfa19afd75c4c7ae1c5160570437",
+    (5, 42005): "45ff302676144a88d3c3c3b642694c07dea284a8590b48e09a8de88500fb154f",
+}
+# canonicalize_config(canonicalize_config(elekes_config(3), seed=1), seed=2):
+# rational input coordinates
+CANONICAL_RATIONAL_SHA256 = "716e7e8814998e94f72a0ab014fe96ec4f8abb73276897adf17fbeea4c9b84cd"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCanonicalGolden:
+    @pytest.mark.parametrize("N, seed", sorted(CANONICAL_SHA256))
+    def test_elekes(self, N, seed):
+        can = canonicalize_config(elekes_config(N), seed=seed)
+        assert sha256(config_to_json(can)) == CANONICAL_SHA256[N, seed]
+
+    def test_rational_input(self):
+        can = canonicalize_config(canonicalize_config(elekes_config(3), seed=1), seed=2)
+        assert sha256(config_to_json(can)) == CANONICAL_RATIONAL_SHA256
+
+    def test_exhausted_budget_report(self):
+        # every attempt at this seed fails; the last checked one has four
+        # parallel line pairs
+        with pytest.raises(CanonicalizationError) as err:
+            canonicalize_config(elekes_config(5), seed=16005)
+        assert err.value.last_report.violations == [
+            (1, (26, 75)), (1, (31, 82)), (1, (36, 89)), (1, (41, 96))]
 
 
 class TestAssemble:

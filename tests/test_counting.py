@@ -93,6 +93,10 @@ class TestMinorCensus:
         with pytest.raises(ValueError):
             minor_census(grid_matrix(3), 4)
 
+    def test_float_order_rejected(self):
+        with pytest.raises(TypeError):
+            minor_census(grid_matrix(3), 2.0)
+
     def test_total_mass(self):
         from math import comb
         A = power_sum_matrix(range(1, 6), range(5, 0, -1), 2)

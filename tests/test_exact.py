@@ -129,6 +129,10 @@ class TestMinor:
         with pytest.raises(ValueError):
             minor(RatMatrix([[1, 2], [3, 4]]), (), ())
 
+    def test_float_index_rejected(self):
+        with pytest.raises(TypeError):
+            minor(RatMatrix([[1, 2], [3, 4]]), (1.9,), (2.2,))
+
 
 class TestVerifyTp:
     def test_small_tp(self):
@@ -151,6 +155,11 @@ class TestVerifyTp:
         A = RatMatrix([[1, 2], [2, 1]])
         assert verify_tp(A, max_order=1).ok
         assert not verify_tp(A, max_order=2).ok
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_max_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError):
+            verify_tp(RatMatrix([[-1, 2], [3, -4]]), max_order=order)
 
     def test_ok_implies_sampled_minors_positive(self):
         # the k=2 power-sum matrix is TP_2; spot-check individual 2x2 minors
