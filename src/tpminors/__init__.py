@@ -3,7 +3,6 @@ point-line/hyperplane incidences, and unit-area rectangle counts."""
 
 from .exact import (
     RatMatrix,
-    Rational,
     TpVerdict,
     det,
     matrix_from_text,
@@ -32,14 +31,12 @@ from .constructions import (
     hyperplane_family,
     mate_point,
     points_from_json,
-    points_to_json,
     power_sum_det_closed_form,
     power_sum_matrix,
 )
 from .counting import (
     best_k,
     count_minors_equal,
-    distinct_minor_count,
     divisor_count,
     grid_area_k_count,
     max_repeated_minor,

@@ -94,7 +94,8 @@ def _measure(cfg: RunConfig, size: int):
         return A.cols, count, (("N", size),)
     if cfg.family == "grid":
         k = max(range(1, size // 2 + 1), key=lambda kk: grid_area_k_count(size, kk))
-        return size, grid_area_k_count(size, k), (("k", k),)
+        pts = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
+        return size, unit_rectangles(pts, k), (("k", k),)
     if cfg.family == "power-sum":
         a = range(1, size + 1)
         b = range(size, 0, -1)

@@ -69,6 +69,8 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
+    if args.contiguous and args.order is not None:
+        raise ValueError("--contiguous checks every order; it cannot be combined with --order")
     A = exact.matrix_from_text(_read_input(args.input))
     if args.contiguous:
         verdict = exact.verify_tp_contiguous(A)

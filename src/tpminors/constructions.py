@@ -426,10 +426,6 @@ def config_from_json(text: str) -> IncidenceConfig:
     return IncidenceConfig(points, lines)
 
 
-def points_to_json(points) -> str:
-    return json.dumps({"points": [[str(p.x), str(p.y)] for p in points]})
-
-
 def points_from_json(text: str):
     doc = json.loads(text, parse_float=str)
     return [Point2(x, y) for x, y in doc["points"]]

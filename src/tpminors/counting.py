@@ -59,10 +59,6 @@ def max_repeated_minor(A: RatMatrix, k: int):
     return min(minor_census(A, k).items(), key=lambda vm: (-vm[1], vm[0]))
 
 
-def distinct_minor_count(A: RatMatrix, k: int) -> int:
-    return len(minor_census(A, k))
-
-
 # ---------------------------------------------------------------------------
 # incidences
 
@@ -128,8 +124,12 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
 
     diagonal mode: ordered pairs (p, q) with q strictly up-right of p and
     (q.x - p.x)(q.y - p.y) = area.  both-diagonals additionally counts
-    anti-diagonal pairs (dx * dy < 0 with |dx * dy| = area).  Exact O(n^2)
-    pair enumeration after clearing denominators.
+    anti-diagonal pairs (dx * dy < 0 with |dx * dy| = area).  With
+    denominators cleared the test is dx * dy == T: points are bucketed into
+    columns on the axis with fewer distinct values (the count is symmetric in
+    x and y); for columns x1 < x2 whose gap dx divides T, each y of x1 is
+    looked up as y + T/dx (anti-diagonals: y - T/dx) in x2.  Cost: the column
+    pairs at most T apart, plus those lookups; no pair of points is visited.
     """
     if mode not in ("diagonal", "both-diagonals"):
         raise ValueError("unknown mode %r" % (mode,))
@@ -137,26 +137,33 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     if area <= 0:
         raise ValueError("area must be positive")
     pts = [(p.x, p.y) if isinstance(p, Point2) else (rat(p[0]), rat(p[1])) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("points must be distinct")
     (xs, ys), (Lx, Ly) = clear_denominators([[x for x, _ in pts], [y for _, y in pts]])
-    ipts = list(zip(xs, ys))
-    # (dx*dy) == area  <=>  (Lx*dx)(Ly*dy) * area.den == area.num * Lx * Ly
-    target = area.numerator * Lx * Ly
-    aden = area.denominator
-    count = 0
+    if len(set(zip(xs, ys))) != len(pts):
+        raise ValueError("points must be distinct")
+    # (dx/Lx)(dy/Ly) == area  <=>  dx * dy == area * Lx * Ly
+    target, rem = divmod(area.numerator * Lx * Ly, area.denominator)
+    if rem:
+        return 0
+    xs, ys = sorted((xs, ys), key=lambda axis: len(set(axis)))  # x on a tie
+    columns = {}
+    for x, y in zip(xs, ys):
+        columns.setdefault(x, set()).add(y)
+    keys = sorted(columns)
     anti = mode == "both-diagonals"
-    n = len(ipts)
-    for i in range(n):
-        xi, yi = ipts[i]
-        for j in range(i + 1, n):
-            prod = (ipts[j][0] - xi) * (ipts[j][1] - yi)
-            if prod > 0:
-                if prod * aden == target:
-                    count += 1
-            elif anti and prod < 0:
-                if -prod * aden == target:
-                    count += 1
+    count = 0
+    for i, x1 in enumerate(keys):
+        col1 = columns[x1]
+        for x2 in keys[i + 1:]:
+            dx = x2 - x1
+            if dx > target:
+                break
+            if target % dx:
+                continue
+            dy = target // dx
+            col2 = columns[x2]
+            count += sum(y + dy in col2 for y in col1)
+            if anti:
+                count += sum(y - dy in col2 for y in col1)
     return count
 
 

@@ -15,9 +15,6 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Optional
 
-Rational = Fraction
-
-
 # the one text form of a rational: an integer or p/q, optionally signed
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tpminors import RunConfig, fit_power_law, scan_exponent, st_bound_check
+from tpminors import RunConfig, fit_power_law, grid_area_k_count, scan_exponent, st_bound_check
 from tpminors.analysis import report_to_csv, report_to_json
 
 
@@ -37,6 +37,13 @@ class TestScan:
     def test_grid_slope_above_two(self):
         report = scan_exponent(RunConfig("grid", (50, 100, 200), seed=0))
         assert report.fitted_slope > 2.0
+
+    def test_grid_counts_match_closed_form(self):
+        sizes = tuple(range(2, 101))
+        report = scan_exponent(RunConfig("grid", sizes, seed=0))
+        assert report.partial_error is None and [r.size for r in report.rows] == list(sizes)
+        for r in report.rows:
+            assert r.count == grid_area_k_count(r.size, dict(r.aux)["k"])
 
     def test_power_sum_family(self):
         report = scan_exponent(RunConfig("power-sum", (6, 10, 16, 24), seed=0))

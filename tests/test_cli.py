@@ -108,6 +108,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--contiguous", "--input", str(mat))
         assert code == 0
 
+    def test_contiguous_with_order_rejected(self, tmp_path, capsys):
+        # TP_1 but not TP_2: the contiguous check would report order 2
+        mat = tmp_path / "m.txt"
+        mat.write_text("2 3\n1 2 3\n1 3 2\n")
+        code, out, err = run(capsys, "verify", "--contiguous", "--order", "1",
+                             "--input", str(mat))
+        assert code == 1 and out == ""
+        assert err == "error: --contiguous checks every order; it cannot be combined with --order\n"
+
 
 class TestCounters:
     def test_count_equal(self, tmp_path, capsys):

@@ -17,7 +17,6 @@ from tpminors import (
     best_k,
     canonicalize_config,
     count_minors_equal,
-    distinct_minor_count,
     divisor_count,
     dual_line,
     elekes_config,
@@ -51,6 +50,50 @@ def census_oracle(A, k):
         for J in combinations(range(A.cols), k):
             census[F(det_int([[r[j] for j in J] for r in sel]), denom)] += 1
     return census
+
+
+def rectangles_oracle(points, area, mode):
+    """The O(n^2) pair scan: every pair of distinct points, dx * dy on
+    cleared integers compared with the cleared area."""
+    pts = [(p.x, p.y) for p in points]
+    (xs, ys), (Lx, Ly) = clear_denominators([[x for x, _ in pts], [y for _, y in pts]])
+    ipts = list(zip(xs, ys))
+    # (dx*dy) == area  <=>  (Lx*dx)(Ly*dy) * area.den == area.num * Lx * Ly
+    target = area.numerator * Lx * Ly
+    aden = area.denominator
+    count = 0
+    anti = mode == "both-diagonals"
+    n = len(ipts)
+    for i in range(n):
+        xi, yi = ipts[i]
+        for j in range(i + 1, n):
+            prod = (ipts[j][0] - xi) * (ipts[j][1] - yi)
+            if prod > 0:
+                if prod * aden == target:
+                    count += 1
+            elif anti and prod < 0:
+                if -prod * aden == target:
+                    count += 1
+    return count
+
+
+@st.composite
+def rectangle_inputs(draw):
+    """Distinct rational points on a few x and a few y values, so columns and
+    rows repeat; coordinates are negative, zero or positive and the two axes
+    have independent numbers of distinct values, so either can be bucketed.
+    The area is one spanned by two of the points (at least one hit) or any
+    small fraction (often one whose cleared target has a remainder)."""
+    coords = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4)))
+    xs = draw(st.lists(coords, min_size=2, max_size=7, unique=True))
+    ys = draw(st.lists(coords, min_size=1, max_size=7, unique=True))
+    cells = draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(ys)),
+                          min_size=2, max_size=30, unique=True))
+    spanned = st.tuples(st.sampled_from(cells), st.sampled_from(cells)).map(
+        lambda pq: abs((pq[0][0] - pq[1][0]) * (pq[0][1] - pq[1][1])))
+    area = draw(st.one_of(spanned, st.builds(F, st.integers(0, 40), st.integers(1, 12)))
+                .filter(lambda a: a > 0))
+    return [Point2(x, y) for x, y in cells], area
 
 
 @st.composite
@@ -178,8 +221,8 @@ class TestCountersOverCensus:
         assert max_repeated_minor(RatMatrix([[3, 4], [2, 3]]), 2) == (F(1), 1)
 
     def test_distinct_counts(self):
-        assert distinct_minor_count(grid_matrix(3), 2) == 3
-        assert distinct_minor_count(RatMatrix([[3, 4], [2, 3]]), 2) == 1
+        assert len(minor_census(grid_matrix(3), 2)) == 3
+        assert len(minor_census(RatMatrix([[3, 4], [2, 3]]), 2)) == 1
 
     def test_distinct_power_sum_matches_products(self):
         a, b = (1, 2, 3), (3, 2, 1)
@@ -190,7 +233,7 @@ class TestCountersOverCensus:
                 for k in range(3):
                     for l in range(k + 1, 3):
                         values.add(F((a[l] - a[k]) * (b[i] - b[j])))
-        assert distinct_minor_count(A, 2) == len(values)
+        assert len(minor_census(A, 2)) == len(values)
 
 
 class TestIncidences:
@@ -282,6 +325,31 @@ class TestUnitRectangles:
             unit_rectangles([Point2(0, 0)], 0)
         with pytest.raises(ValueError):
             unit_rectangles([Point2(0, 0), Point2(0, 0)], 1)
+
+    def test_duplicates_rejected_before_a_zero_count(self):
+        # x clears by 2, so area 1/7 clears to 2/7, which no integer dx * dy equals
+        pts = [Point2(F(1, 2), 0), Point2(1, 1), Point2(F(2, 4), 0)]
+        with pytest.raises(ValueError, match="points must be distinct"):
+            unit_rectangles(pts, F(1, 7))
+        assert unit_rectangles(pts[:2], F(1, 7)) == 0
+
+    @pytest.mark.parametrize("mode", ["diagonal", "both-diagonals"])
+    @settings(max_examples=150, deadline=None)
+    @given(rectangle_inputs())
+    def test_matches_pair_scan(self, mode, case):
+        pts, area = case
+        expected = rectangles_oracle(pts, area, mode)
+        assert unit_rectangles(pts, area, mode) == expected
+        # the transposed set has the same count and buckets on the other axis
+        assert unit_rectangles([Point2(p.y, p.x) for p in pts], area, mode) == expected
+
+    @pytest.mark.parametrize("mode", ["diagonal", "both-diagonals"])
+    def test_every_x_distinct(self, mode):
+        # one point per column: every column pair at most T apart is a candidate
+        rng = random.Random(11)
+        pts = [Point2(F(x, 2), F(rng.randint(-40, 40), 3)) for x in range(-150, 150)]
+        for area in (F(1), F(5, 2), F(12), F(1, 6)):
+            assert unit_rectangles(pts, area, mode) == rectangles_oracle(pts, area, mode)
 
 
 class TestGridClosedForm:
