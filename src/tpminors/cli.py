@@ -114,13 +114,13 @@ def cmd_rects(args):
 def cmd_mu(args):
     doc = json.loads(_read_input(args.input), parse_float=str)
     if "A" in doc and "B" in doc:
-        A = counting.as_multiset(doc["A"])
-        B = counting.as_multiset(doc["B"])
+        A = counting.as_multiset(constructions.json_array(doc["A"], "A"))
+        B = counting.as_multiset(constructions.json_array(doc["B"], "B"))
         result = counting.mu(
             counting.multiset_prod(counting.multiset_diff(A, A), counting.multiset_diff(B, B))
         )
     elif "values" in doc:
-        result = counting.mu(doc["values"])
+        result = counting.mu(constructions.json_array(doc["values"], "values"))
     else:
         raise ValueError('mu input needs keys "A"/"B" or "values"')
     _write_output(args.out, "%d\n" % result)

@@ -419,13 +419,26 @@ def config_to_json(cfg: IncidenceConfig) -> str:
     return json.dumps(doc)
 
 
+def json_array(value, name, length=None):
+    """``value`` if it is a JSON array (of ``length`` items when given), else a
+    ValueError naming ``name``; a JSON string would read as its characters."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = "" if length is None else "%d-element " % length
+        raise ValueError("%s must be a %sJSON array, got %s" % (name, size, json.dumps(value)))
+    return value
+
+
+def _points(doc):
+    return [Point2(*json_array(p, "each point", 2)) for p in json_array(doc, "points")]
+
+
 def config_from_json(text: str) -> IncidenceConfig:
     doc = json.loads(text, parse_float=str)
-    points = tuple(Point2(x, y) for x, y in doc.get("points", []))
+    points = tuple(_points(doc.get("points", [])))
     lines = tuple(Line2(l["m"], l["c"]) for l in doc.get("lines", []))
     return IncidenceConfig(points, lines)
 
 
 def points_from_json(text: str):
     doc = json.loads(text, parse_float=str)
-    return [Point2(x, y) for x, y in doc["points"]]
+    return _points(doc["points"])

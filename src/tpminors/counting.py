@@ -25,10 +25,14 @@ def minor_census(A: RatMatrix, k: int) -> Counter:
 
     Returns a Counter mapping canonical Fraction -> multiplicity.  Denominators
     are cleared once, on the axis with narrower integers (rows on a tie; for
-    columns, on the transpose: det M = det M^T).  Per row tuple the integer
-    determinants are counted, then one Fraction is built per distinct value.
-    For k = rows the only row tuple is (1..rows): the d x d minors of a
-    d x n matrix.
+    columns, on the transpose: det M = det M^T).  The shape of the cleared
+    matrix picks the loop:
+
+    - exactly k wide (the d x d minors of a d x n matrix, cleared by
+      columns): every k-subset of cleared rows is one minor, so the census is
+      one pass over C iterators, one det_int call and one Fraction per minor;
+    - wider: per row tuple the integer determinants of its column k-subsets
+      are counted, then one Fraction is built per distinct value.
     """
     k = operator.index(k)
     if k < 1:
@@ -38,6 +42,9 @@ def minor_census(A: RatMatrix, k: int) -> Counter:
     int_rows, scales = min(
         clear_denominators(A.entries), clear_denominators(zip(*A.entries)),
         key=lambda cleared: max(abs(x).bit_length() for row in cleared[0] for x in row))
+    if len(int_rows[0]) == k:
+        return Counter(map(Fraction, map(det_int, combinations(int_rows, k)),
+                           map(prod, combinations(scales, k))))
     census = Counter()
     for I in combinations(range(len(int_rows)), k):
         denom = prod(scales[i] for i in I)
@@ -231,23 +238,29 @@ def multiset_mass(C: Counter) -> int:
 
 
 def multiset_diff(C, D) -> Counter:
-    """C - D with convolved multiplicities m(s) = sum m(c) m(d) over c-d=s."""
+    """C - D with convolved multiplicities m(s) = sum m(c) m(d) over c-d=s;
+    the keys are convolved as integers over one common denominator."""
     C, D = as_multiset(C), as_multiset(D)
+    (keys,), (L,) = clear_denominators([list(C) + list(D)])
+    right = list(zip(keys[len(C):], D.values()))
     out = Counter()
-    for c, mc in C.items():
-        for d, md in D.items():
-            out[c - d] += mc * md
-    return out
+    for a, mc in zip(keys, C.values()):
+        for b, md in right:
+            out[a - b] += mc * md
+    return Counter({Fraction(v, L): m for v, m in out.items()})
 
 
 def multiset_prod(C, D) -> Counter:
-    """C * D with convolved multiplicities m(s) = sum m(c) m(d) over c*d=s."""
+    """C * D with convolved multiplicities m(s) = sum m(c) m(d) over c*d=s;
+    the keys are convolved as integers, each multiset over its own denominator."""
     C, D = as_multiset(C), as_multiset(D)
+    (cs, ds), (Lc, Ld) = clear_denominators([list(C), list(D)])
+    right = list(zip(ds, D.values()))
     out = Counter()
-    for c, mc in C.items():
-        for d, md in D.items():
-            out[c * d] += mc * md
-    return out
+    for a, mc in zip(cs, C.values()):
+        for b, md in right:
+            out[a * b] += mc * md
+    return Counter({Fraction(v, Lc * Ld): m for v, m in out.items()})
 
 
 def mu(C) -> int:

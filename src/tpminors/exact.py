@@ -16,7 +16,7 @@ from math import lcm, prod
 from typing import Optional
 
 # the one text form of a rational: an integer or p/q, optionally signed
-_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value) -> Fraction:
@@ -27,8 +27,12 @@ def rat(value) -> Fraction:
     """
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact paths: %r" % (value,))
-    if isinstance(value, str) and not _ENTRY.fullmatch(value):
-        raise ValueError("%r is not an integer or p/q" % (value,))
+    if isinstance(value, str):
+        match = _ENTRY.fullmatch(value)
+        if match is None:
+            raise ValueError("%r is not an integer or p/q" % (value,))
+        p, q = match.groups()
+        return Fraction(int(p), int(q or 1))
     return Fraction(value)
 
 

@@ -281,3 +281,32 @@ class TestRationalInputs:
         code, out, _ = run(capsys, "mu", "--input",
                            self.json_file(tmp_path, {"values": [1, 1, 2]}))
         assert code == 0 and out == "2\n"
+
+
+class TestJsonArrays:
+    """A JSON string where an array is expected exits 1 naming the field,
+    instead of being read as a list of its characters."""
+
+    @pytest.mark.parametrize("cmd, doc, field", [
+        ("mu", {"values": "112"}, "values"),
+        ("mu", {"A": "12", "B": [1, 2]}, "A"),
+        ("mu", {"A": [1, 2], "B": "12"}, "B"),
+        ("rects", {"points": ["12", "23"]}, "each point"),
+        ("rects", {"points": [["1", "2", "3"], ["2", "3", "4"]]}, "each point"),
+        ("rects", {"points": [["1"], ["2"]]}, "each point"),
+        ("rects", {"points": "1223"}, "points"),
+        ("rects", {"points": {"1": "2"}}, "points"),
+    ])
+    def test_non_array_is_failure(self, tmp_path, capsys, cmd, doc, field):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, cmd, "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s must be a " % field)
+
+    def test_arrays_accepted(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"A": ["1/2", 1], "B": [1, 2]}))
+        assert run(capsys, "mu", "--input", str(path)) == (0, "12\n", "")
+        path.write_text(json.dumps({"points": [["1/2", 1], [2, "3/2"]]}))
+        assert run(capsys, "rects", "--input", str(path), "--area", "3/4") == (0, "1\n", "")

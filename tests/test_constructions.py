@@ -470,3 +470,12 @@ class TestConfigJson:
     def test_points_decimal_rejected(self, text, token):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
             points_from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"points": ["12"], "lines": []}',
+        '{"points": [["1", "2", "3"]], "lines": []}',
+        '{"points": "12", "lines": []}',
+    ])
+    def test_config_points_must_be_pairs(self, text):
+        with pytest.raises(ValueError, match="points? must be a"):
+            config_from_json(text)

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +120,19 @@ def census_matrices(draw):
     return RatMatrix(rows)
 
 
+@st.composite
+def wide_matrices(draw):
+    """d x n matrices, d = 1..3, whose denominators follow the columns, so
+    the columns are cleared and every d-subset of them is one minor.  Small
+    numerators and the denominators 1, 2, 3, 4, 6 give zero and negative
+    minors and equal values over different scale products (1/2 and 2/4)."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 8))
+    dens = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=n, max_size=n))
+    return RatMatrix([[F(draw(st.integers(-6, 6)), dens[j]) for j in range(n)]
+                      for _ in range(d)])
+
+
 class TestMinorCensus:
     def test_grid3_all_pairs(self):
         assert minor_census(grid_matrix(3), 2) == {F(1): 4, F(2): 4, F(4): 1}
@@ -179,6 +192,48 @@ class TestCensusAgainstOracle:
             census, bits = self.operand_bits(monkeypatch, A, k)
             assert census == census_oracle(A, k)
             assert bits <= 4  # the integers 1..9, never scaled by another axis
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_matrices())
+    def test_full_height_minors(self, A):
+        assert minor_census(A, A.rows) == census_oracle(A, A.rows)
+
+    # 2 x 5 over column denominators 2, 4, 1, 3, 6: the minors include 0,
+    # negatives, and equal values over different scale products
+    WIDE = [[F(1, 2), F(3, 4), F(1), F(2, 3), F(-1, 6)],
+            [F(1, 2), F(5, 4), F(1), F(-1, 3), F(5, 6)]]
+
+    @pytest.mark.parametrize("rows", [
+        [WIDE[0]],  # 1 x 5
+        WIDE,  # 2 x 5
+        WIDE + [[F(0), F(1, 4), F(2), F(1, 3), F(1, 6)]],  # 3 x 5
+        [r[:3] for r in WIDE] + [[F(1, 2), F(1, 4), F(3)]],  # square 3 x 3
+        [r[:2] for r in WIDE],  # square 2 x 2
+    ], ids=["1x5", "2x5", "3x5", "3x3", "2x2"])
+    def test_one_det_int_call_per_minor(self, monkeypatch, rows):
+        """The full-height census calls counting.det_int once per minor, on a
+        d x d matrix of integers cleared by column (at most 3 bits wide)."""
+        A = RatMatrix(rows)
+        d, n = A.rows, A.cols
+        calls = []
+
+        def recording(m):
+            calls.append(m)
+            return det_int(m)
+
+        monkeypatch.setattr(counting, "det_int", recording)
+        census = minor_census(A, d)
+        assert census == census_oracle(A, d)
+        assert len(calls) == comb(n, d)
+        assert all(len(m) == d and all(len(r) == d for r in m) for m in calls)
+        assert max(abs(x).bit_length() for m in calls for r in m for x in r) <= 3
+
+    def test_equal_values_from_different_scales(self):
+        # -1/2 is -3/(2*3) and -2/(4*1); 1/2 is 6/(2*6) and 9/(3*6)
+        assert minor_census(RatMatrix(self.WIDE), 2) == {
+            F(1, 4): 1, F(0): 1, F(-1, 2): 2, F(1, 2): 2, F(-13, 12): 1,
+            F(5, 6): 1, F(-1): 1, F(1): 1}
 
 
 class TestCensusOutputOrder:
@@ -396,6 +451,26 @@ class TestDivisors:
             assert divisor_count(k) == sum(1 for d in range(1, k + 1) if k % d == 0)
 
 
+def multiset_diff_oracle(C, D):
+    """The Fraction convolution: one rational subtraction per key pair."""
+    C, D = counting.as_multiset(C), counting.as_multiset(D)
+    out = Counter()
+    for c, mc in C.items():
+        for d, md in D.items():
+            out[c - d] += mc * md
+    return out
+
+
+def multiset_prod_oracle(C, D):
+    """The Fraction convolution: one rational product per key pair."""
+    C, D = counting.as_multiset(C), counting.as_multiset(D)
+    out = Counter()
+    for c, mc in C.items():
+        for d, md in D.items():
+            out[c * d] += mc * md
+    return out
+
+
 small_multisets = st.dictionaries(
     st.fractions(min_value=-6, max_value=6, max_denominator=4),
     st.integers(min_value=1, max_value=4),
@@ -422,6 +497,25 @@ class TestMultisets:
 
     def test_mu_empty(self):
         assert mu([]) == 0
+
+    # keys negative, zero and positive over mixed denominators; Counters with
+    # multiplicities, or plain lists whose repeats are the multiplicities
+    keys = st.builds(F, st.integers(-40, 40), st.sampled_from((1, 2, 3, 5, 6, 12, 35)))
+    multisets = (st.dictionaries(keys, st.integers(1, 5), max_size=8).map(Counter)
+                 | st.lists(keys, max_size=8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(multisets, multisets)
+    def test_convolutions_match_fraction_oracle(self, C, D):
+        assert multiset_diff(C, D) == multiset_diff_oracle(C, D)
+        assert multiset_prod(C, D) == multiset_prod_oracle(C, D)
+
+    def test_convolution_keys_are_reduced(self):
+        C, D = [F(1, 2), F(3, 4)], Counter({F(1, 4): 2, F(-2, 3): 1})
+        for out in (multiset_diff(C, D), multiset_prod(C, D)):
+            assert all(type(v) is F for v in out)
+        assert multiset_diff(C, D) == {F(1, 4): 2, F(1, 2): 2, F(7, 6): 1, F(17, 12): 1}
+        assert multiset_prod(C, D) == {F(1, 8): 2, F(3, 16): 2, F(-1, 3): 1, F(-1, 2): 1}
 
     @settings(max_examples=60, deadline=None)
     @given(small_multisets, small_multisets)

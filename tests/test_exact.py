@@ -15,7 +15,7 @@ from tpminors import (
     verify_tp_contiguous,
 )
 from tpminors.constructions import grid_matrix, power_sum_matrix
-from tpminors.exact import det_int
+from tpminors.exact import det_int, rat
 
 
 rationals = st.fractions(
@@ -298,3 +298,52 @@ class TestTextFormat:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             RatMatrix([[0.5]])
+
+
+class TestRatParser:
+    """``rat`` on strings agrees with ``Fraction(token)`` on every token made
+    of ASCII digits, signs and one slash, and rejects every other string."""
+
+    digits = st.text("0123456789", min_size=1, max_size=40)  # leading zeros too
+    tokens = st.builds(
+        lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
+        st.sampled_from(("", "+", "-")), digits, st.none() | digits)
+
+    @staticmethod
+    def outcome(parse, token):
+        try:
+            return parse(token)
+        except (ValueError, ZeroDivisionError) as e:
+            return type(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens)
+    def test_integer_and_fraction_tokens(self, token):
+        got = self.outcome(rat, token)
+        assert got == self.outcome(F, token)
+        assert got is ZeroDivisionError or type(got) is F
+
+    @pytest.mark.parametrize("token, value", [
+        ("-0", F(0)), ("+0", F(0)), ("0/5", F(0)), ("-0/7", F(0)), ("007", F(7)),
+        ("-04/006", F(-2, 3)), ("+12/1", F(12)), ("2/4", F(1, 2)),
+        ("9" * 60, F(int("9" * 60))), ("-" + "1" * 50 + "/3", F(-int("1" * 50), 3)),
+    ])
+    def test_examples(self, token, value):
+        assert rat(token) == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("0123456789+-/ .e_\u0661\u0660x", max_size=8))
+    def test_other_strings_rejected(self, token):
+        if set(token) <= set("0123456789+-/"):
+            assert self.outcome(rat, token) == self.outcome(F, token)
+        else:
+            with pytest.raises(ValueError, match=re.escape(repr(token))):
+                rat(token)
+
+    @pytest.mark.parametrize("token", [
+        "", " ", " 1", "1 ", "1 /2", "1.5", "1e3", "1/-2", "1/+2", "--1", "+-1", "1/",
+        "/2", "1/2/3", "1_000", "\u0661", "1\u0662", "\uff11", "1\n",
+    ])
+    def test_rejected(self, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            rat(token)
