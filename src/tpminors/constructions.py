@@ -428,8 +428,8 @@ def json_array(value, name, length=None):
     return value
 
 
-def _points(doc):
-    return [Point2(*json_array(p, "each point", 2)) for p in json_array(doc, "points")]
+def _points(points):
+    return [Point2(*json_array(p, "each point", 2)) for p in json_array(points, "points")]
 
 
 def config_from_json(text: str) -> IncidenceConfig:
