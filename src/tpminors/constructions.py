@@ -428,17 +428,24 @@ def json_array(value, name, length=None):
     return value
 
 
+def json_object(value, name):
+    """``value`` if it is a JSON object, else a ValueError naming ``name``."""
+    if not isinstance(value, dict):
+        raise ValueError("%s must be a JSON object, got %s" % (name, json.dumps(value)))
+    return value
+
+
 def _points(points):
     return [Point2(*json_array(p, "each point", 2)) for p in json_array(points, "points")]
 
 
 def config_from_json(text: str) -> IncidenceConfig:
-    doc = json.loads(text, parse_float=str)
-    points = tuple(_points(doc.get("points", [])))
-    lines = tuple(Line2(l["m"], l["c"]) for l in doc.get("lines", []))
-    return IncidenceConfig(points, lines)
+    doc = json_object(json.loads(text, parse_float=str), "the configuration")
+    lines = [json_object(l, "each line") for l in json_array(doc.get("lines", []), "lines")]
+    return IncidenceConfig(tuple(_points(doc.get("points", []))),
+                           tuple(Line2(l["m"], l["c"]) for l in lines))
 
 
 def points_from_json(text: str):
-    doc = json.loads(text, parse_float=str)
-    return _points(doc["points"])
+    doc = json_object(json.loads(text, parse_float=str), "the point set")
+    return _points(doc.get("points"))

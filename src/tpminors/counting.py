@@ -31,8 +31,9 @@ def minor_census(A: RatMatrix, k: int) -> Counter:
     - exactly k wide (the d x d minors of a d x n matrix, cleared by
       columns): every k-subset of cleared rows is one minor, so the census is
       one pass over C iterators, one det_int call and one Fraction per minor;
-    - wider: per row tuple the integer determinants of its column k-subsets
-      are counted, then one Fraction is built per distinct value.
+    - wider: each row tuple adds its integer determinants, scaled to one
+      common denominator D (the lcm of the k-subset scale products), to one
+      integer Counter; then one Fraction(x, D) is built per distinct value.
     """
     k = operator.index(k)
     if k < 1:
@@ -45,14 +46,14 @@ def minor_census(A: RatMatrix, k: int) -> Counter:
     if len(int_rows[0]) == k:
         return Counter(map(Fraction, map(det_int, combinations(int_rows, k)),
                            map(prod, combinations(scales, k))))
+    D = lcm(*map(prod, combinations(scales, k)))
     census = Counter()
     for I in combinations(range(len(int_rows)), k):
-        denom = prod(scales[i] for i in I)
-        cols = zip(*(int_rows[i] for i in I))
+        factor = D // prod(scales[i] for i in I)
         # each column tuple is a transposed k x k submatrix: the same determinant
-        for v, m in Counter(map(det_int, combinations(cols, k))).items():
-            census[Fraction(v, denom)] += m
-    return census
+        dets = map(det_int, combinations(zip(*(int_rows[i] for i in I)), k))
+        census.update(dets if factor == 1 else map(factor.__mul__, dets))
+    return Counter({Fraction(x, D): m for x, m in census.items()})
 
 
 def count_minors_equal(A: RatMatrix, k: int, t) -> int:
@@ -126,6 +127,11 @@ def verify_no_Kd2(points, planes):
 # rectangles and the grid closed form
 
 
+def _exact(v):
+    """An int coordinate as it is (already exact); anything else through rat."""
+    return v if type(v) is int else rat(v)
+
+
 def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     """Count axis-parallel rectangles of the given area spanned by point pairs.
 
@@ -143,7 +149,7 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     area = rat(area)
     if area <= 0:
         raise ValueError("area must be positive")
-    pts = [(p.x, p.y) if isinstance(p, Point2) else (rat(p[0]), rat(p[1])) for p in points]
+    pts = [(p.x, p.y) if isinstance(p, Point2) else (_exact(p[0]), _exact(p[1])) for p in points]
     (xs, ys), (Lx, Ly) = clear_denominators([[x for x, _ in pts], [y for _, y in pts]])
     if len(set(zip(xs, ys))) != len(pts):
         raise ValueError("points must be distinct")

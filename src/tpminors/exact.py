@@ -152,53 +152,38 @@ def clear_denominators(rows):
     return int_rows, scales
 
 
-def _det_int_small(m, n):
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    # n == 4: expansion along the first row over 3x3 cofactors
-    total = 0
-    sign = 1
-    for j in range(4):
-        sub = [[m[i][c] for c in range(4) if c != j] for i in range(1, 4)]
-        total += sign * m[0][j] * _det_int_small(sub, 3)
-        sign = -sign
-    return total
-
-
 def det_int(m):
     """Exact determinant of a square integer matrix.
 
-    Cofactor expansion up to order 4, fraction-free (Bareiss) elimination
-    beyond; all intermediate values stay integral.
+    Closed forms up to order 3, fraction-free (Bareiss) elimination beyond;
+    all intermediate values stay integral.
     """
     n = len(m)
-    if n <= 4:
-        return _det_int_small(m, n)
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n == 1:
+        return m[0][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(row) for row in m]
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
                 return 0
+            a[k], a[i], sign = a[i], a[k], -sign
+        top = a[k]
+        p = top[k]
+        # column k below the pivot is never read again, so it is not zeroed
         for i in range(k + 1, n):
+            row = a[i]
+            r = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                row[j] = (row[j] * p - r * top[j]) // prev
+        prev = p
     return sign * a[n - 1][n - 1]
 
 

@@ -304,6 +304,21 @@ class TestJsonArrays:
         assert code == 1 and out == ""
         assert err.startswith("error: %s must be a " % field)
 
+    @pytest.mark.parametrize("cmd, doc, message", [
+        ("mu", "AB", 'mu input must be a JSON object, got "AB"'),
+        ("mu", [["1", "2"]], 'mu input must be a JSON object, got [["1", "2"]]'),
+        ("rects", [["1", "2"]], 'the point set must be a JSON object, got [["1", "2"]]'),
+        ("rects", "points", 'the point set must be a JSON object, got "points"'),
+        ("rects", {"point": []}, "points must be a JSON array, got null"),
+    ])
+    def test_non_object_document_is_failure(self, tmp_path, capsys, cmd, doc, message):
+        """A document that is not a JSON object exits 1 with one error line."""
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, cmd, "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
     def test_arrays_accepted(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"A": ["1/2", 1], "B": [1, 2]}))

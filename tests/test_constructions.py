@@ -479,3 +479,12 @@ class TestConfigJson:
     def test_config_points_must_be_pairs(self, text):
         with pytest.raises(ValueError, match="points? must be a"):
             config_from_json(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"points": [], "lines": "ab"}', 'lines must be a JSON array, got "ab"'),
+        ('{"points": [], "lines": [["1", "2"]]}', "each line must be a JSON object"),
+        ('[{"m": "1", "c": "2"}]', "the configuration must be a JSON object"),
+    ])
+    def test_config_objects_required(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_json(text)

@@ -235,6 +235,43 @@ class TestCensusAgainstOracle:
             F(1, 4): 1, F(0): 1, F(-1, 2): 2, F(1, 2): 2, F(-13, 12): 1,
             F(5, 6): 1, F(-1): 1, F(1): 1}
 
+    @pytest.mark.parametrize("kind", ["integer", "row-rational"])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (4, 6)], ids=["3x4", "4x4", "4x6"])
+    def test_wide_one_det_int_call_per_minor(self, monkeypatch, shape, k, kind):
+        """The wider census calls counting.det_int once per minor, C(m,k) C(n,k)
+        times, each on a k x k matrix: the count perfbench reads."""
+        m, n = shape
+        A = RatMatrix([[F((3 * i + 5 * j + i * j) % 11 - 4, i + 2 if kind == "row-rational" else 1)
+                        for j in range(n)] for i in range(m)])
+        calls = []
+
+        def recording(M):
+            calls.append(M)
+            return det_int(M)
+
+        monkeypatch.setattr(counting, "det_int", recording)
+        assert minor_census(A, k) == census_oracle(A, k)
+        assert len(calls) == comb(m, k) * comb(n, k)
+        assert all(len(M) == k and all(len(r) == k for r in M) for M in calls)
+
+    # 4 x 4 over row denominators 1, 2, 2, 3: row pairs have scale products
+    # 2, 2, 3, 4, 6, 6, so the common denominator is 12
+    ROWS = [[1, 2, 3, 5],
+            [F(1, 2), F(2, 2), F(3, 2), F(1, 2)],
+            [F(1, 2), F(3, 2), F(1, 2), F(5, 2)],
+            [F(1, 3), F(2, 3), F(4, 3), F(2, 3)]]
+
+    def test_wide_equal_values_from_different_scales(self):
+        # -1/2 is -2/4 and -3/6; 1/2 is 1/2 and 3/6; 1/3 is 1/3 and 2/6 (three
+        # times); 0 is 0/2, 0/3 and 0/6
+        census = minor_census(RatMatrix(self.ROWS), 2)
+        assert census_to_csv(census) == (
+            "-6,1\n-14/3,1\n-4,1\n-7/2,1\n-3,1\n-5/2,1\n-2,2\n-7/4,1\n-1,2\n"
+            "-2/3,1\n-1/2,2\n-1/6,1\n0,6\n1/6,2\n1/4,1\n1/3,4\n1/2,2\n2/3,1\n"
+            "1,1\n5/3,1\n7/4,1\n7/2,1\n5,1\n")
+        assert census == census_oracle(RatMatrix(self.ROWS), 2)
+
 
 class TestCensusOutputOrder:
     values = st.fractions(min_value=-10 ** 6, max_value=10 ** 6) | st.builds(

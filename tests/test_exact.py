@@ -68,8 +68,8 @@ class TestDet:
 
 
 class TestDetIntAgainstSympy:
-    """det_int against an outside exact determinant: cofactor path for
-    orders <= 4, Bareiss elimination beyond."""
+    """det_int against an outside exact determinant: closed forms for
+    orders <= 3, Bareiss elimination beyond."""
 
     @staticmethod
     def sympy_det(m):
@@ -84,6 +84,17 @@ class TestDetIntAgainstSympy:
         )
     ))
     def test_random(self, m):
+        assert det_int(m) == self.sympy_det(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=4, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 2**40 + 1)), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    ))
+    def test_sparse_zero_pivots(self, m):
+        # mostly zero entries: pivots vanish mid-elimination and rows swap
         assert det_int(m) == self.sympy_det(m)
 
     @pytest.mark.parametrize("n", range(1, 8))
