@@ -112,8 +112,7 @@ def cmd_rects(args):
 
 
 def cmd_mu(args):
-    text = _read_input(args.input)
-    doc = constructions.json_object(json.loads(text, parse_float=str), "mu input")
+    doc = constructions.json_object(json.loads(_read_input(args.input), parse_float=str), "mu input")
     if "A" in doc and "B" in doc:
         A = counting.as_multiset(constructions.json_array(doc["A"], "A"))
         B = counting.as_multiset(constructions.json_array(doc["B"], "B"))

@@ -52,6 +52,7 @@ def minor_census(A: RatMatrix, k: int) -> Counter:
         factor = D // prod(scales[i] for i in I)
         # each column tuple is a transposed k x k submatrix: the same determinant
         dets = map(det_int, combinations(zip(*(int_rows[i] for i in I)), k))
+        # factor 1 (every row scale equal, as on integer input) skips a multiply per minor
         census.update(dets if factor == 1 else map(factor.__mul__, dets))
     return Counter({Fraction(x, D): m for x, m in census.items()})
 
@@ -127,11 +128,6 @@ def verify_no_Kd2(points, planes):
 # rectangles and the grid closed form
 
 
-def _exact(v):
-    """An int coordinate as it is (already exact); anything else through rat."""
-    return v if type(v) is int else rat(v)
-
-
 def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     """Count axis-parallel rectangles of the given area spanned by point pairs.
 
@@ -149,7 +145,8 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     area = rat(area)
     if area <= 0:
         raise ValueError("area must be positive")
-    pts = [(p.x, p.y) if isinstance(p, Point2) else (_exact(p[0]), _exact(p[1])) for p in points]
+    coord = lambda v: v if type(v) is int else rat(v)  # ints are already exact
+    pts = [(p.x, p.y) if isinstance(p, Point2) else (coord(p[0]), coord(p[1])) for p in points]
     (xs, ys), (Lx, Ly) = clear_denominators([[x for x, _ in pts], [y for _, y in pts]])
     if len(set(zip(xs, ys))) != len(pts):
         raise ValueError("points must be distinct")
