@@ -428,10 +428,13 @@ def json_array(value, name, length=None):
     return value
 
 
-def json_object(value, name):
-    """``value`` if it is a JSON object, else a ValueError naming ``name``."""
+def json_object(value, name, fields=()):
+    """``value`` if it is a JSON object with every key in ``fields``, else a ValueError."""
     if not isinstance(value, dict):
         raise ValueError("%s must be a JSON object, got %s" % (name, json.dumps(value)))
+    missing = [f for f in fields if f not in value]
+    if missing:
+        raise ValueError("%s has no %r field: %s" % (name, missing[0], json.dumps(value)))
     return value
 
 
@@ -441,7 +444,8 @@ def _points(points):
 
 def config_from_json(text: str) -> IncidenceConfig:
     doc = json_object(json.loads(text, parse_float=str), "the configuration")
-    lines = [json_object(l, "each line") for l in json_array(doc.get("lines", []), "lines")]
+    lines = json_array(doc.get("lines", []), "lines")
+    lines = [json_object(l, "each line", ("m", "c")) for l in lines]
     return IncidenceConfig(tuple(_points(doc.get("points", []))),
                            tuple(Line2(l["m"], l["c"]) for l in lines))
 

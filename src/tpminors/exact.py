@@ -152,11 +152,35 @@ def clear_denominators(rows):
     return int_rows, scales
 
 
+def _det_laplace(m):
+    """Orders 4 and 5 of det_int, kept out of it to keep its order-2 frame small."""
+    if len(m) == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+        return ((a0*b1 - a1*b0) * (c2*d3 - c3*d2) - (a0*b2 - a2*b0) * (c1*d3 - c3*d1)
+                + (a0*b3 - a3*b0) * (c1*d2 - c2*d1) + (a1*b2 - a2*b1) * (c0*d3 - c3*d0)
+                - (a1*b3 - a3*b1) * (c0*d2 - c2*d0) + (a2*b3 - a3*b2) * (c0*d1 - c1*d0))
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), \
+        (d0, d1, d2, d3, d4), (e0, e1, e2, e3, e4) = m
+    t01, t02, t03, t04 = d0*e1 - d1*e0, d0*e2 - d2*e0, d0*e3 - d3*e0, d0*e4 - d4*e0
+    t12, t13, t14, t23 = d1*e2 - d2*e1, d1*e3 - d3*e1, d1*e4 - d4*e1, d2*e3 - d3*e2
+    t24, t34 = d2*e4 - d4*e2, d3*e4 - d4*e3
+    return ((a0*b1 - a1*b0) * (c2*t34 - c3*t24 + c4*t23)
+            - (a0*b2 - a2*b0) * (c1*t34 - c3*t14 + c4*t13)
+            + (a0*b3 - a3*b0) * (c1*t24 - c2*t14 + c4*t12)
+            - (a0*b4 - a4*b0) * (c1*t23 - c2*t13 + c3*t12)
+            + (a1*b2 - a2*b1) * (c0*t34 - c3*t04 + c4*t03)
+            - (a1*b3 - a3*b1) * (c0*t24 - c2*t04 + c4*t02)
+            + (a1*b4 - a4*b1) * (c0*t23 - c2*t03 + c3*t02)
+            + (a2*b3 - a3*b2) * (c0*t14 - c1*t04 + c4*t01)
+            - (a2*b4 - a4*b2) * (c0*t13 - c1*t03 + c3*t01)
+            + (a3*b4 - a4*b3) * (c0*t12 - c1*t02 + c2*t01))
+
+
 def det_int(m):
     """Exact determinant of a square integer matrix.
 
-    Closed forms up to order 3, fraction-free (Bareiss) elimination beyond;
-    all intermediate values stay integral.
+    Closed forms up to order 5 (orders 4 and 5 by Laplace expansion along rows
+    1-2), fraction-free (Bareiss) elimination beyond; all values stay integral.
     """
     n = len(m)
     if n == 2:
@@ -167,6 +191,8 @@ def det_int(m):
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n <= 5:
+        return _det_laplace(m)
     a = [list(row) for row in m]
     sign = prev = 1
     for k in range(n - 1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -42,6 +43,35 @@ class TestConstructAndCensus:
                            "--a", "1,2,3", "--b", "3,2,1", "--k", "3")
         assert code == 0
         assert out.splitlines()[1] == "16 25 36"
+
+
+class TestCensusGolden:
+    """SHA-256 of the order-4 and order-5 census CSV of two 10x10 power-sum
+    matrices (k = 5), pinned so the closed-form determinants at those orders
+    keep the output byte for byte."""
+
+    MATRICES = {
+        "integer": ("1,2,4,7,11,16,22,29,37,46", "50,41,33,26,20,15,11,8,6,5"),
+        # every row and column has its own denominator
+        "rational": ("2/3,5/4,2,17/6,26/7,37/8,50/9,65/10,82/11,101/12",
+                     "60,55/2,50/3,45/4,8,35/6,30/7,25/8,20/9,3/2"),
+    }
+    SHA256 = {
+        ("integer", 4): "d475c7653939a1a0247ce29273611537d3f6178e816e6d40e5b4b1953d1d79f4",
+        ("integer", 5): "34d0dc606ef1898ad72a86677242bde95994734daf1d588267ef863c6050ef0e",
+        ("rational", 4): "4c97cc91d1f3c740f05574888980a3e84fc8eb6e1a95810720ea5a2e5f04880b",
+        ("rational", 5): "c2216ded95faef1008192f92f15cdee0ef2c63d6524d19280eaa72f511c95106",
+    }
+
+    @pytest.mark.parametrize("name, order", sorted(SHA256))
+    def test_power_sum_census(self, tmp_path, capsys, name, order):
+        a, b = self.MATRICES[name]
+        mat = tmp_path / "power.txt"
+        assert run(capsys, "--out", str(mat), "construct", "power-sum",
+                   "--a", a, "--b", b, "--k", "5")[0] == 0
+        code, out, err = run(capsys, "census", "--order", str(order), "--input", str(mat))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[name, order]
 
 
 class TestGlobalFlags:

@@ -488,3 +488,12 @@ class TestConfigJson:
     def test_config_objects_required(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_json(text)
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"lines": [{"m": "1"}]}', "c"),
+        ('{"points": [], "lines": [{"m": "1", "c": "2"}, {"c": "2"}]}', "m"),
+        ('{"lines": [{}]}', "m"),
+    ])
+    def test_config_line_fields_required(self, text, field):
+        with pytest.raises(ValueError, match=re.escape("each line has no %r field" % field)):
+            config_from_json(text)

@@ -69,7 +69,7 @@ class TestDet:
 
 class TestDetIntAgainstSympy:
     """det_int against an outside exact determinant: closed forms for
-    orders <= 3, Bareiss elimination beyond."""
+    orders <= 5, Bareiss elimination beyond."""
 
     @staticmethod
     def sympy_det(m):
@@ -95,6 +95,27 @@ class TestDetIntAgainstSympy:
     ))
     def test_sparse_zero_pivots(self, m):
         # mostly zero entries: pivots vanish mid-elimination and rows swap
+        assert det_int(m) == self.sympy_det(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=6, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 2**40 + 1)), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    ))
+    def test_sparse_zero_pivots_bareiss(self, m):
+        # the same alphabet at orders 6-7, which reach Bareiss: row swaps there
+        assert det_int(m) == self.sympy_det(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=4, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-2**200, max_value=2**200), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    ))
+    def test_closed_forms_wide_operands(self, m):
         assert det_int(m) == self.sympy_det(m)
 
     @pytest.mark.parametrize("n", range(1, 8))
