@@ -3,6 +3,8 @@
 Subcommands: construct {grid|power-sum|elekes|tp2xn}, verify, census,
 count-equal, rects, mu, scan, check-st.  Exit codes: 0 success,
 1 precondition/verification failure, 2 I/O error or malformed JSON.
+``verify`` certifies TP by Fekete's solid-minor criterion and names the
+lexicographically first non-positive minor; ``--order k`` checks every minor.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ def _write_output(path, text):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _int_list(s):
-    return [int(x) for x in s.split(",") if x.strip()]
 
 
 def _frac_list(s):
@@ -69,13 +67,15 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    if args.contiguous and args.order is not None:
-        raise ValueError("--contiguous checks every order; it cannot be combined with --order")
     A = exact.matrix_from_text(_read_input(args.input))
-    if args.contiguous:
-        verdict = exact.verify_tp_contiguous(A)
-    else:
+    if args.order is not None:
         verdict = exact.verify_tp(A, args.order)
+    else:
+        # a solid witness of order k leaves every lower-order minor positive,
+        # so the exhaustive scan to order k finds the first failing minor
+        verdict = exact.verify_tp_contiguous(A)
+        if not verdict.ok:
+            verdict = exact.verify_tp(A, verdict.witness[0])
     if verdict.ok:
         _write_output(args.out, "TP ok (%dx%d)\n" % (A.rows, A.cols))
         return 0
@@ -128,13 +128,15 @@ def cmd_mu(args):
 
 
 def cmd_scan(args):
-    cfg = analysis.RunConfig(
-        family=args.family,
-        sizes=tuple(_int_list(args.sizes)),
-        seed=args.seed,
-        mode=args.mode,
-        area=exact.rat(args.area),
-    )
+    sizes = tuple(int(x) for x in args.sizes.split(",") if x.strip())
+    # only the rectangle options given; RunConfig's defaults fill in the rest
+    rect = {k: v for k, v in (("mode", args.mode), ("area", args.area)) if v is not None}
+    if rect and args.family != "random-points":
+        flags = " or ".join("--" + k for k in rect)
+        raise ValueError("--family %s takes no %s" % (args.family, flags))
+    if "area" in rect:
+        rect["area"] = exact.rat(args.area)
+    cfg = analysis.RunConfig(family=args.family, sizes=sizes, seed=args.seed, **rect)
     report = analysis.scan_exponent(cfg)
     if args.format == "json":
         _write_output(args.out, analysis.report_to_json(report) + "\n")
@@ -183,7 +185,6 @@ def build_parser():
     v = add_parser("verify", help="total-positivity check of a matrix file")
     v.add_argument("--input", default=None)
     v.add_argument("--order", type=int, default=None)
-    v.add_argument("--contiguous", action="store_true")
     v.set_defaults(func=cmd_verify)
 
     ce = add_parser("census", help="minor-value census")
@@ -210,8 +211,9 @@ def build_parser():
     s = add_parser("scan", help="size scan with log-log exponent fit")
     s.add_argument("--family", choices=analysis.FAMILIES, required=True)
     s.add_argument("--sizes", required=True, help="comma-separated increasing sizes")
-    s.add_argument("--mode", choices=("diagonal", "both-diagonals"), default="diagonal")
-    s.add_argument("--area", default="1")
+    s.add_argument("--mode", choices=("diagonal", "both-diagonals"),
+                   help="random-points only (default diagonal)")
+    s.add_argument("--area", help="random-points only (default 1)")
     s.set_defaults(func=cmd_scan)
 
     st = add_parser("check-st", help="exact incidence-bound sanity check")

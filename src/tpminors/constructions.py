@@ -257,13 +257,11 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
         u = 1 - min_x if min_x <= 0 else 0
         min_y = min((y + t * x for x, y in pts), default=1)
         v = max([-min_y] + [(m + t) * u - c for m, c in lines]) + 1
-        try:
-            candidate = IncidenceConfig(
-                tuple(Point2(x + u, y + t * x + v) for x, y in pts),
-                tuple(Line2(m + t, c + v - (m + t) * u) for m, c in lines),
-            )
-        except ValueError:
-            continue
+        # a nonsingular map, shear and translation keep points and lines distinct
+        candidate = IncidenceConfig(
+            tuple(Point2(x + u, y + t * x + v) for x, y in pts),
+            tuple(Line2(m + t, c + v - (m + t) * u) for m, c in lines),
+        )
         report = check_constraints(candidate)
         if report.ok:
             return candidate

@@ -284,9 +284,10 @@ def mu_nonzero(C) -> int:
 
 
 def _sorted_census(census: Counter):
-    """Items by value, compared exactly as integers over the lcm L of the denominators."""
-    L = lcm(*(v.denominator for v in census))
-    return sorted(census.items(), key=lambda vm: vm[0].numerator * (L // vm[0].denominator))
+    """Items by value, compared exactly as integers over one common denominator."""
+    items = list(census.items())
+    (keys,), _ = clear_denominators([[v for v, _ in items]])
+    return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
 
 
 def census_to_csv(census: Counter) -> str:

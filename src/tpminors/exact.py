@@ -74,9 +74,6 @@ class RatMatrix:
     def entries(self):
         return self._rows
 
-    def __getitem__(self, i):
-        return self._rows[i]
-
     def entry(self, i, j):
         """1-based entry access, A_{ij}."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
@@ -127,14 +124,11 @@ class TpVerdict:
     """Outcome of a total-positivity scan.
 
     ``witness`` is ``(order, I, J, value)`` for the first non-positive minor in
-    lexicographic (order, I, J) scan order, or None when ``ok``.
+    the scan's order, or None when ``ok``.
     """
 
     ok: bool
     witness: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.ok
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +228,15 @@ def minor(A: RatMatrix, I, J) -> Fraction:
 # total positivity
 
 
+def _first_nonpositive(A: RatMatrix, minors) -> TpVerdict:
+    """The first non-positive minor among (order, I, J) triples, in the order given."""
+    for k, I, J in minors:
+        v = det(A.submatrix(I, J))
+        if v <= 0:
+            return TpVerdict(False, (k, I, J, v))
+    return TpVerdict(True)
+
+
 def verify_tp(A: RatMatrix, max_order=None) -> TpVerdict:
     """Exhaustively check that all minors of orders 1..max_order are positive.
 
@@ -244,31 +247,25 @@ def verify_tp(A: RatMatrix, max_order=None) -> TpVerdict:
         max_order = min(A.rows, A.cols)
     if max_order < 1:
         raise ValueError("max_order must be >= 1, got %d" % max_order)
-    for k in range(1, max_order + 1):
-        for I in combinations(range(1, A.rows + 1), k):
-            for J in combinations(range(1, A.cols + 1), k):
-                v = det(A.submatrix(I, J))
-                if v <= 0:
-                    return TpVerdict(False, (k, I, J, v))
-    return TpVerdict(True)
+    rows, cols = range(1, A.rows + 1), range(1, A.cols + 1)
+    return _first_nonpositive(A, ((k, I, J) for k in range(1, max_order + 1)
+                                  for I in combinations(rows, k) for J in combinations(cols, k)))
 
 
 def verify_tp_contiguous(A: RatMatrix) -> TpVerdict:
     """Fast total-positivity check via contiguous (solid) minors only.
 
-    By the classical solid-minor criterion, positivity of all minors on
-    consecutive row and column windows already implies full total positivity,
-    so the verdict agrees with verify_tp.
+    By Fekete's solid-minor criterion, positivity of all minors of orders
+    1..k on consecutive row and column windows implies that every minor of
+    order at most k is positive.  So the verdict agrees with verify_tp, and a
+    witness of order k means that every minor below order k is positive.
     """
-    for k in range(1, min(A.rows, A.cols) + 1):
-        for i0 in range(1, A.rows - k + 2):
-            I = tuple(range(i0, i0 + k))
-            for j0 in range(1, A.cols - k + 2):
-                J = tuple(range(j0, j0 + k))
-                v = det(A.submatrix(I, J))
-                if v <= 0:
-                    return TpVerdict(False, (k, I, J, v))
-    return TpVerdict(True)
+
+    def windows(n, k):
+        return [tuple(range(s, s + k)) for s in range(1, n - k + 2)]
+
+    return _first_nonpositive(A, ((k, I, J) for k in range(1, min(A.rows, A.cols) + 1)
+                                  for I in windows(A.rows, k) for J in windows(A.cols, k)))
 
 
 def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import shlex
+import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tpminors import RatMatrix, matrix_to_text, verify_tp
 from tpminors.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -131,21 +135,60 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
-    def test_contiguous_flag(self, tmp_path, capsys):
+    def test_unknown_contiguous_flag_exits_two(self, tmp_path):
         mat = tmp_path / "m.txt"
-        run(capsys, "--out", str(mat), "construct", "power-sum",
-            "--a", "1,2,3", "--b", "3,2,1", "--k", "3")
-        code, out, _ = run(capsys, "verify", "--contiguous", "--input", str(mat))
-        assert code == 0
+        mat.write_text("2 2\n1 2\n1 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--contiguous", "--input", str(mat)])
+        assert exc.value.code == 2
 
-    def test_contiguous_with_order_rejected(self, tmp_path, capsys):
-        # TP_1 but not TP_2: the contiguous check would report order 2
+    def test_witness_is_lexicographic_not_solid(self, tmp_path, capsys):
+        # the solid scan meets cols (2, 3), value -1, first; the report is the
+        # lexicographically first non-positive minor
         mat = tmp_path / "m.txt"
-        mat.write_text("2 3\n1 2 3\n1 3 2\n")
-        code, out, err = run(capsys, "verify", "--contiguous", "--order", "1",
-                             "--input", str(mat))
-        assert code == 1 and out == ""
-        assert err == "error: --contiguous checks every order; it cannot be combined with --order\n"
+        mat.write_text("2 3\n1 1 1\n1 2 1\n")
+        code, out, err = run(capsys, "verify", "--input", str(mat))
+        assert code == 1 and err == ""
+        assert out == "not TP: order 2 minor at rows (1, 2) cols (1, 3) has value 0\n"
+
+    def test_vandermonde_10x10(self, tmp_path, capsys):
+        mat = tmp_path / "m.txt"
+        mat.write_text(matrix_to_text(RatMatrix([[x ** j for j in range(10)]
+                                                 for x in range(2, 12)])))
+        code, out, _ = run(capsys, "verify", "--input", str(mat))
+        assert code == 0 and out == "TP ok (10x10)\n"
+
+
+@st.composite
+def verify_inputs(draw):
+    """Random small matrices, and TP Vandermonde matrices x_i^(e_j) with
+    one entry nudged, so that some stay TP and some fail at a high order."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return RatMatrix(draw(st.lists(st.lists(st.integers(1, 5), min_size=c, max_size=c),
+                                       min_size=r, max_size=r)))
+    xs = sorted(draw(st.sets(st.integers(1, 6), min_size=r, max_size=r)))
+    es = sorted(draw(st.sets(st.integers(0, 4), min_size=c, max_size=c)))
+    rows = [[F(x) ** e for e in es] for x in xs]
+    i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
+    rows[i][j] *= 1 + draw(st.fractions(min_value=-1, max_value=1, max_denominator=64))
+    return RatMatrix(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(verify_inputs())
+def test_verify_reports_exhaustive_witness(A):
+    """verify without --order prints what the exhaustive scan finds."""
+    verdict = verify_tp(A)
+    if verdict.ok:
+        want = "TP ok (%dx%d)\n" % (A.rows, A.cols)
+    else:
+        want = "not TP: order %d minor at rows %r cols %r has value %s\n" % verdict.witness
+    with tempfile.TemporaryDirectory() as d:
+        mat, out = Path(d, "m.txt"), Path(d, "out.txt")
+        mat.write_text(matrix_to_text(A))
+        code = main(["--out", str(out), "verify", "--input", str(mat)])
+        assert (code, out.read_text()) == (0 if verdict.ok else 1, want)
 
 
 class TestCounters:
@@ -195,6 +238,25 @@ class TestScanAndSt:
         _, a, _ = run(capsys, *args)
         _, b, _ = run(capsys, *args)
         assert a == b
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--area", "3"), "--area"),
+        (("--mode", "both-diagonals"), "--mode"),
+        (("--area", "3", "--mode", "both-diagonals"), "--mode or --area"),
+    ])
+    @pytest.mark.parametrize("family", ["grid", "elekes-2xn", "power-sum"])
+    def test_rectangle_flags_need_random_points(self, capsys, family, flags, named):
+        code, out, err = run(capsys, "scan", "--family", family, "--sizes", "4,6,8", *flags)
+        assert code == 1 and out == ""
+        assert err == "error: --family %s takes no %s\n" % (family, named)
+
+    def test_random_points_takes_rectangle_flags(self, capsys):
+        argv = ("scan", "--family", "random-points", "--sizes", "30,60,120")
+        _, default, _ = run(capsys, *argv)
+        code, explicit, _ = run(capsys, *argv, "--area", "1", "--mode", "diagonal")
+        assert code == 0 and explicit == default
+        code, both, _ = run(capsys, *argv, "--area", "2", "--mode", "both-diagonals")
+        assert code == 0 and both != default
 
     def test_check_st(self, capsys):
         code, out, _ = run(capsys, "check-st", "--m", "54", "--n", "27",
