@@ -93,6 +93,8 @@ def _measure(cfg: RunConfig, size: int):
         count = count_minors_equal(A, 2, 1)
         return A.cols, count, (("N", size),)
     if cfg.family == "grid":
+        if size < 2:  # no area k <= size/2 to choose from
+            raise ValueError("n must be >= 2")
         k = max(range(1, size // 2 + 1), key=lambda kk: grid_area_k_count(size, kk))
         pts = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
         return size, unit_rectangles(pts, k), (("k", k),)

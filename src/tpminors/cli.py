@@ -35,13 +35,25 @@ def _frac_list(s):
     return [exact.rat(x.strip()) for x in s.split(",") if x.strip()]
 
 
+# the flags each construct target reads, beside --seed, --out and --format
+_CONSTRUCT_FLAGS = {"grid": ("n",), "power-sum": ("a", "b", "n", "k"),
+                    "elekes": ("N", "canonical"), "tp2xn": ("N",)}
+
+
 def cmd_construct(args):
+    for flag in ("n", "k", "N", "a", "b", "canonical"):
+        if getattr(args, flag) is not None and flag not in _CONSTRUCT_FLAGS[args.what]:
+            raise ValueError("construct %s takes no --%s" % (args.what, flag))
+    k = 2 if args.k is None else args.k
+    N = 2 if args.N is None else args.N
     if args.what == "grid":
         if args.n is None:
             raise ValueError("grid needs --n")
         A = constructions.grid_matrix(args.n)
         _write_output(args.out, exact.matrix_to_text(A))
     elif args.what == "power-sum":
+        if args.n is not None and (args.a is not None or args.b is not None):
+            raise ValueError("construct power-sum takes --a/--b or --n, not both")
         if args.a is not None and args.b is not None:
             a, b = _frac_list(args.a), _frac_list(args.b)
         elif args.n is not None:
@@ -49,33 +61,27 @@ def cmd_construct(args):
             b = list(range(args.n, 0, -1))
         else:
             raise ValueError("power-sum needs --a/--b or --n")
-        A = constructions.power_sum_matrix(a, b, args.k)
+        A = constructions.power_sum_matrix(a, b, k)
         _write_output(args.out, exact.matrix_to_text(A))
     elif args.what == "elekes":
-        cfg = constructions.elekes_config(args.N)
+        cfg = constructions.elekes_config(N)
         if args.canonical:
             cfg = constructions.canonicalize_config(cfg, seed=args.seed)
         _write_output(args.out, constructions.config_to_json(cfg) + "\n")
     elif args.what == "tp2xn":
-        cfg = constructions.elekes_config(args.N)
+        cfg = constructions.elekes_config(N)
         cfg = constructions.canonicalize_config(cfg, seed=args.seed)
         A = constructions.assemble_tp_2xn(cfg)
         _write_output(args.out, exact.matrix_to_text(A))
-    else:
-        raise ValueError("unknown construct target %r" % args.what)
     return 0
 
 
 def cmd_verify(args):
     A = exact.matrix_from_text(_read_input(args.input))
-    if args.order is not None:
-        verdict = exact.verify_tp(A, args.order)
-    else:
-        # a solid witness of order k leaves every lower-order minor positive,
-        # so the exhaustive scan to order k finds the first failing minor
+    if args.order is None:
         verdict = exact.verify_tp_contiguous(A)
-        if not verdict.ok:
-            verdict = exact.verify_tp(A, verdict.witness[0])
+    else:
+        verdict = exact.verify_tp(A, args.order)
     if verdict.ok:
         _write_output(args.out, "TP ok (%dx%d)\n" % (A.rows, A.cols))
         return 0
@@ -112,15 +118,18 @@ def cmd_rects(args):
 
 
 def cmd_mu(args):
-    doc = constructions.json_object(json.loads(_read_input(args.input), parse_float=str), "mu input")
+    doc = constructions.load_json(_read_input(args.input), "mu input")
     if "A" in doc and "B" in doc:
-        A = counting.as_multiset(constructions.json_array(doc["A"], "A"))
-        B = counting.as_multiset(constructions.json_array(doc["B"], "B"))
+        A, B = constructions.json_array(doc["A"], "A"), constructions.json_array(doc["B"], "B")
+        constructions.check_rationals(A + B)
+        A, B = counting.as_multiset(A), counting.as_multiset(B)
         result = counting.mu(
             counting.multiset_prod(counting.multiset_diff(A, A), counting.multiset_diff(B, B))
         )
     elif "values" in doc:
-        result = counting.mu(constructions.json_array(doc["values"], "values"))
+        values = constructions.json_array(doc["values"], "values")
+        constructions.check_rationals(values)
+        result = counting.mu(values)
     else:
         raise ValueError('mu input needs keys "A"/"B" or "values"')
     _write_output(args.out, "%d\n" % result)
@@ -175,11 +184,11 @@ def build_parser():
     c = add_parser("construct", help="build a matrix or configuration")
     c.add_argument("what", choices=("grid", "power-sum", "elekes", "tp2xn"))
     c.add_argument("--n", type=int, default=None)
-    c.add_argument("--k", type=int, default=2)
-    c.add_argument("--N", type=int, default=2)
+    c.add_argument("--k", type=int, default=None, help="power-sum only (default 2)")
+    c.add_argument("--N", type=int, default=None, help="elekes and tp2xn only (default 2)")
     c.add_argument("--a", default=None, help="comma-separated increasing rationals")
     c.add_argument("--b", default=None, help="comma-separated decreasing rationals")
-    c.add_argument("--canonical", action="store_true")
+    c.add_argument("--canonical", action="store_true", default=None, help="elekes only")
     c.set_defaults(func=cmd_construct)
 
     v = add_parser("verify", help="total-positivity check of a matrix file")

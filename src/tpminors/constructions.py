@@ -282,7 +282,7 @@ def assemble_tp_2xn(cfg: IncidenceConfig) -> RatMatrix:
     cfg, one unit minor per incidence via the mate-point identity.  Total
     positivity is certified by the solid-minor criterion
     (verify_tp_contiguous: the 2n entries and the n-1 adjacent-column 2x2
-    minors), which agrees with the exhaustive verify_tp on every matrix.
+    minors), whose verdict, witness included, equals the exhaustive verify_tp's.
     """
     report = check_constraints(cfg)
     if not report.ok:
@@ -436,18 +436,34 @@ def json_object(value, name, fields=()):
     return value
 
 
+def check_rationals(items):
+    """A ValueError naming the first of the JSON ``items`` that is not an
+    integer or a string, the forms rat reads (true, null, an array, an object)."""
+    for v in items:
+        if type(v) is not int and type(v) is not str:  # type(True) is bool
+            raise ValueError("%r is not an integer or p/q" % json.dumps(v))
+
+
+def load_json(text, name):
+    """The JSON object in ``text``.  A number that is not an integer (1.5, 1e3,
+    NaN, Infinity) stays the string it was written as, so rat rejects it by name."""
+    return json_object(json.loads(text, parse_float=str, parse_constant=str), name)
+
+
 def _points(points):
-    return [Point2(*json_array(p, "each point", 2)) for p in json_array(points, "points")]
+    points = [json_array(p, "each point", 2) for p in json_array(points, "points")]
+    check_rationals(v for p in points for v in p)
+    return [Point2(x, y) for x, y in points]
 
 
 def config_from_json(text: str) -> IncidenceConfig:
-    doc = json_object(json.loads(text, parse_float=str), "the configuration")
+    doc = load_json(text, "the configuration")
     lines = json_array(doc.get("lines", []), "lines")
     lines = [json_object(l, "each line", ("m", "c")) for l in lines]
+    check_rationals(v for l in lines for v in (l["m"], l["c"]))
     return IncidenceConfig(tuple(_points(doc.get("points", []))),
                            tuple(Line2(l["m"], l["c"]) for l in lines))
 
 
 def points_from_json(text: str):
-    doc = json_object(json.loads(text, parse_float=str), "the point set")
-    return _points(doc.get("points"))
+    return _points(load_json(text, "the point set").get("points"))

@@ -22,17 +22,18 @@ _ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or string ``p/q`` or integer to an exact rational.
 
-    Floats are a TypeError; decimal, exponent and other strings are a
-    ValueError naming the token.
+    Floats and bools are a TypeError; decimal, exponent and other strings are
+    a ValueError naming the token.
     """
-    if isinstance(value, float):
-        raise TypeError("floating point is not allowed in exact paths: %r" % (value,))
     if isinstance(value, str):
         match = _ENTRY.fullmatch(value)
         if match is None:
             raise ValueError("%r is not an integer or p/q" % (value,))
         p, q = match.groups()
-        return Fraction(int(p), int(q or 1))
+        # one argument skips the gcd normalization an integer does not need
+        return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+    if isinstance(value, (float, bool)):
+        raise TypeError("floating point and bools are not allowed in exact paths: %r" % (value,))
     return Fraction(value)
 
 
@@ -124,7 +125,7 @@ class TpVerdict:
     """Outcome of a total-positivity scan.
 
     ``witness`` is ``(order, I, J, value)`` for the first non-positive minor in
-    the scan's order, or None when ``ok``.
+    lexicographic (order, I, J) order, or None when ``ok``.
     """
 
     ok: bool
@@ -228,12 +229,20 @@ def minor(A: RatMatrix, I, J) -> Fraction:
 # total positivity
 
 
-def _first_nonpositive(A: RatMatrix, minors) -> TpVerdict:
-    """The first non-positive minor among (order, I, J) triples, in the order given."""
-    for k, I, J in minors:
-        v = det(A.submatrix(I, J))
-        if v <= 0:
-            return TpVerdict(False, (k, I, J, v))
+def _windows(indices, k):
+    """The runs of k consecutive indices: the index tuples of solid minors."""
+    return [tuple(indices[s:s + k]) for s in range(len(indices) - k + 1)]
+
+
+def _first_nonpositive(A: RatMatrix, orders, subsets=combinations) -> TpVerdict:
+    """The lexicographically first non-positive minor of the given orders, by ``subsets``."""
+    rows, cols = range(1, A.rows + 1), range(1, A.cols + 1)
+    for k in orders:
+        for I in subsets(rows, k):
+            for J in subsets(cols, k):
+                v = det(A.submatrix(I, J))
+                if v <= 0:
+                    return TpVerdict(False, (k, I, J, v))
     return TpVerdict(True)
 
 
@@ -247,25 +256,20 @@ def verify_tp(A: RatMatrix, max_order=None) -> TpVerdict:
         max_order = min(A.rows, A.cols)
     if max_order < 1:
         raise ValueError("max_order must be >= 1, got %d" % max_order)
-    rows, cols = range(1, A.rows + 1), range(1, A.cols + 1)
-    return _first_nonpositive(A, ((k, I, J) for k in range(1, max_order + 1)
-                                  for I in combinations(rows, k) for J in combinations(cols, k)))
+    return _first_nonpositive(A, range(1, max_order + 1))
 
 
 def verify_tp_contiguous(A: RatMatrix) -> TpVerdict:
-    """Fast total-positivity check via contiguous (solid) minors only.
+    """Full total-positivity check that certifies by contiguous (solid) minors.
 
     By Fekete's solid-minor criterion, positivity of all minors of orders
     1..k on consecutive row and column windows implies that every minor of
-    order at most k is positive.  So the verdict agrees with verify_tp, and a
-    witness of order k means that every minor below order k is positive.
+    order at most k is positive.  So when a solid minor of order k fails,
+    every minor below order k is positive, and a scan of order k alone names
+    the witness verify_tp names: the two verdicts are equal.
     """
-
-    def windows(n, k):
-        return [tuple(range(s, s + k)) for s in range(1, n - k + 2)]
-
-    return _first_nonpositive(A, ((k, I, J) for k in range(1, min(A.rows, A.cols) + 1)
-                                  for I in windows(A.rows, k) for J in windows(A.cols, k)))
+    verdict = _first_nonpositive(A, range(1, min(A.rows, A.cols) + 1), _windows)
+    return verdict if verdict.ok else _first_nonpositive(A, (verdict.witness[0],))
 
 
 def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:

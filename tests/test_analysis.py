@@ -49,6 +49,19 @@ class TestScan:
         report = scan_exponent(RunConfig("power-sum", (6, 10, 16, 24), seed=0))
         assert report.fitted_slope > 2.0
 
+    def test_power_sum_counts_match_closed_form(self):
+        # power_sum_matrix(1..n, n..1, 2) is grid_matrix(n), so the most
+        # repeated 2x2 minor is the most frequent rectangle area, over all areas
+        report = scan_exponent(RunConfig("power-sum", (4, 8, 16), seed=0))
+        assert [(r.size, r.count, r.aux) for r in report.rows] == [
+            (4, 12, (("value", "2"),)), (8, 92, (("value", "4"),)),
+            (16, 712, (("value", "12"),))]
+        for r in report.rows:
+            areas = range(1, (r.size - 1) ** 2 + 1)
+            assert r.count == max(grid_area_k_count(r.size, v) for v in areas)
+        # the grid family's k <= n/2 misses area 12 at n = 16
+        assert scan_exponent(RunConfig("grid", (4, 8, 16))).rows[-1].count == 664
+
     def test_random_points_family_runs(self):
         report = scan_exponent(RunConfig("random-points", (40, 80, 160), seed=2))
         assert len(report.rows) == 3
@@ -56,7 +69,7 @@ class TestScan:
 
     def test_generator_failure_flags_partial(self):
         report = scan_exponent(RunConfig("grid", (1, 2, 3, 4), seed=0))
-        assert report.partial_error is not None
+        assert report.partial_error == "size 1 failed: n must be >= 2"
         assert report.rows == []
 
     def test_assembly_assertion_propagates(self, monkeypatch):

@@ -303,6 +303,32 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err == "error: grid needs --n\n"
 
+    @pytest.mark.parametrize("target, argv, flag", [
+        ("grid", ["--n", "3"], ["--k", "5"]),
+        ("grid", ["--n", "3"], ["--N", "3"]),
+        ("grid", ["--n", "3"], ["--canonical"]),
+        ("grid", ["--n", "3"], ["--a", "1,2"]),
+        ("power-sum", ["--n", "5"], ["--N", "3"]),
+        ("power-sum", ["--n", "5"], ["--canonical"]),
+        ("power-sum", ["--n", "5"], ["--a", "1,2"]),
+        ("power-sum", ["--a", "1,2", "--b", "2,1"], ["--n", "5"]),
+        ("elekes", ["--N", "2"], ["--n", "3"]),
+        ("elekes", ["--N", "2"], ["--k", "3"]),
+        ("elekes", ["--N", "2"], ["--b", "2,1"]),
+        ("tp2xn", ["--N", "2"], ["--n", "3"]),
+        ("tp2xn", ["--N", "2"], ["--canonical"]),
+    ])
+    def test_construct_rejects_stray_flag(self, capsys, target, argv, flag):
+        assert run(capsys, "--seed", "3", "construct", target, *argv)[0] == 0
+        code, out, err = run(capsys, "--seed", "3", "construct", target, *argv, *flag)
+        assert code == 1 and out == ""
+        assert err.startswith("error: construct %s takes " % target) and flag[0] in err
+
+    def test_grid_scan_size_below_two(self, capsys):
+        code, out, _ = run(capsys, "scan", "--family", "grid", "--sizes", "1,2,3")
+        assert code == 1
+        assert out.splitlines()[-1] == "# partial: size 1 failed: n must be >= 2"
+
 
 class TestRationalInputs:
     """Every rational the CLI reads, from a flag or a JSON value, is an
@@ -352,16 +378,28 @@ class TestRationalInputs:
     @pytest.mark.parametrize("points", [
         [["1.5", "2"], ["2.5", "3"]],  # decimal strings
         [[1.5, 2], [2.5, 3]],  # JSON numbers
+        [[float("nan"), 1], [2, 3]],  # JSON NaN
+        [[True, 1], [2, 3]],  # not a number
+        [[None, 1], [2, 3]],
+        [[[1], 1], [2, 3]],
     ])
     def test_rects_points(self, tmp_path, capsys, points):
         pts = self.json_file(tmp_path, {"points": points})
-        self.rejected(capsys, "1.5", "rects", "--input", pts)
+        # the first coordinate, as the JSON document writes it
+        self.rejected(capsys, json.dumps(points[0][0]).strip('"'), "rects", "--input", pts)
 
     @pytest.mark.parametrize("doc, token", [
         ({"values": [1, 1.5]}, "1.5"),
         ({"values": ["1", "2e3"]}, "2e3"),
         ({"A": ["1", "0.5"], "B": ["1", "2"]}, "0.5"),
         ({"A": ["1", "2"], "B": [1, 2.25]}, "2.25"),
+        ({"A": [float("inf"), 1], "B": [1, 2]}, "Infinity"),
+        ({"A": [1, 2], "B": [1, float("-inf")]}, "-Infinity"),
+        ({"values": [[1], 1]}, "[1]"),
+        ({"values": [True, 1]}, "true"),
+        ({"values": [1, False]}, "false"),
+        ({"values": [1, None]}, "null"),
+        ({"values": [{"1": 1}]}, '{"1": 1}'),
     ])
     def test_mu_values(self, tmp_path, capsys, doc, token):
         self.rejected(capsys, token, "mu", "--input", self.json_file(tmp_path, doc))

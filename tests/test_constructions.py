@@ -458,6 +458,11 @@ class TestConfigJson:
         ('{"points": [["1.5", "2"]], "lines": []}', "1.5"),
         ('{"points": [[1, 2.5]], "lines": []}', "2.5"),
         ('{"points": [], "lines": [{"m": 1e3, "c": "1"}]}', "1e3"),
+        ('{"points": [[NaN, 1]], "lines": []}', "NaN"),
+        ('{"points": [], "lines": [{"m": "1", "c": -Infinity}]}', "-Infinity"),
+        ('{"points": [[true, 1]], "lines": []}', "true"),
+        ('{"points": [], "lines": [{"m": null, "c": "1"}]}', "null"),
+        ('{"points": [], "lines": [{"m": "1", "c": [2]}]}', "[2]"),
     ])
     def test_config_decimal_rejected(self, text, token):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
@@ -466,6 +471,9 @@ class TestConfigJson:
     @pytest.mark.parametrize("text, token", [
         ('{"points": [["1.5", "2"]]}', "1.5"),
         ('{"points": [[1, 2.5]]}', "2.5"),
+        ('{"points": [[1, Infinity]]}', "Infinity"),
+        ('{"points": [[false, 1]]}', "false"),
+        ('{"points": [[1, {}]]}', "{}"),
     ])
     def test_points_decimal_rejected(self, text, token):
         with pytest.raises(ValueError, match=re.escape(repr(token))):

@@ -14,6 +14,7 @@ from tpminors import (
     verify_tp,
     verify_tp_contiguous,
 )
+from tpminors import exact
 from tpminors.constructions import grid_matrix, power_sum_matrix
 from tpminors.exact import det_int, rat
 
@@ -232,7 +233,27 @@ class TestContiguousCriterion:
             )
         )
         A = RatMatrix(rows)
-        assert verify_tp_contiguous(A).ok == verify_tp(A).ok
+        assert verify_tp_contiguous(A) == verify_tp(A)
+
+    def test_witness_scan_skips_lower_orders(self, monkeypatch):
+        # a 9x9 Vandermonde with entry (9, 1) nudged: TP_3, and the first failing
+        # solid minor of order 4, rows 6-9, is not the lexicographic witness
+        rows = [[F(x) ** e for e in range(9)] for x in range(1, 10)]
+        rows[8][0] *= F(11, 10)
+        A = RatMatrix(rows)
+        want = verify_tp(A)
+        orders = []
+
+        def counted_det(M, det=exact.det):
+            orders.append(M.rows)
+            return det(M)
+
+        monkeypatch.setattr(exact, "det", counted_det)
+        assert verify_tp_contiguous(A) == want and want.witness[0] == 4
+        # below order 4 only the solid minors, (10 - r)^2 of order r, are
+        # evaluated (194 where an exhaustive scan takes 8,433), and none after order 4
+        assert sum(r < 4 for r in orders) == sum((10 - r) ** 2 for r in range(1, 4))
+        assert orders == sorted(orders)
 
 
 class TestContiguousOnSlopeSorted:
@@ -260,7 +281,7 @@ class TestContiguousOnSlopeSorted:
         A = RatMatrix([[x for x, _ in cols], [y for _, y in cols]])
         slopes = [y / x for x, y in cols]
         assert verify_tp(A).ok == all(a < b for a, b in zip(slopes, slopes[1:]))
-        assert verify_tp_contiguous(A).ok == verify_tp(A).ok
+        assert verify_tp_contiguous(A) == verify_tp(A)
 
 
 class TestSubmatrix:
@@ -362,6 +383,11 @@ class TestRatParser:
     ])
     def test_examples(self, token, value):
         assert rat(token) == value
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected(self, value):
+        with pytest.raises(TypeError):  # as a float is, not read as 1 or 0
+            rat(value)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text("0123456789+-/ .e_\u0661\u0660x", max_size=8))
