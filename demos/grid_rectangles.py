@@ -24,13 +24,12 @@ n = 8
 G = grid_matrix(n)
 print("grid matrix n=%d, TP_2: %s" % (n, verify_tp(G, 2).ok))
 
-census = minor_census(G, 2)
+counts, D = minor_census(G, 2)  # the census of x/D: integer entries give D = 1
 pts = [Point2(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
 print("value  census  rectangles  closed-form")
-for v in sorted(census)[:10]:
-    k = int(v)
+for k in sorted(counts)[:10]:
     print("%5d  %6d  %10d  %11d"
-          % (k, census[v], unit_rectangles(pts, k), grid_area_k_count(n, k)))
+          % (k, counts[k], unit_rectangles(pts, k), grid_area_k_count(n, k)))
 
 value, count = max_repeated_minor(G, 2)
 print("most repeated minor: value %s with multiplicity %d" % (value, count))

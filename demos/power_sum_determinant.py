@@ -39,6 +39,6 @@ for k in range(2, 7):
 print()
 print("minor positivity of the rectangular family (k x k minors, k=3):")
 A = power_sum_matrix(range(1, 9), (3, 2, 1), 3)
-census = minor_census(A, 3)
+counts, D = minor_census(A, 3)  # the census of x/D with D > 0: x has the sign of x/D
 print("  3x8 matrix: %d minors of order 3, all positive: %s"
-      % (sum(census.values()), all(v > 0 for v in census)))
+      % (sum(counts.values()), all(x > 0 for x in counts)))

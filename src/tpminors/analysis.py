@@ -99,9 +99,7 @@ def _measure(cfg: RunConfig, size: int):
         pts = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
         return size, unit_rectangles(pts, k), (("k", k),)
     if cfg.family == "power-sum":
-        a = range(1, size + 1)
-        b = range(size, 0, -1)
-        A = power_sum_matrix(a, b, 2)
+        A = power_sum_matrix(range(1, size + 1), range(size, 0, -1), 2)  # grid_matrix(size)
         value, count = max_repeated_minor(A, 2)
         return size, count, (("value", str(value)),)
     if cfg.family == "random-points":

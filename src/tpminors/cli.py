@@ -147,6 +147,9 @@ def cmd_scan(args):
         rect["area"] = exact.rat(args.area)
     cfg = analysis.RunConfig(family=args.family, sizes=sizes, seed=args.seed, **rect)
     report = analysis.scan_exponent(cfg)
+    if report.fitted_slope is None:
+        print("warning: no slope fitted: %d of %d rows have a nonzero count, 3 are needed" % (
+            sum(r.count > 0 for r in report.rows), len(report.rows)), file=sys.stderr)
     if args.format == "json":
         _write_output(args.out, analysis.report_to_json(report) + "\n")
     else:

@@ -337,11 +337,8 @@ def power_sum_det_closed_form(a, b, k) -> Fraction:
     for i in range(k):
         value *= comb(k - 1, i)
     for t in range(k):
-        for l in range(t + 1, k):
-            value *= a[l] - a[t]
-    for w in range(k):
-        for u in range(w + 1, k):
-            value *= b[w] - b[u]
+        for u in range(t + 1, k):
+            value *= (a[u] - a[t]) * (b[t] - b[u])
     return value
 
 

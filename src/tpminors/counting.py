@@ -3,8 +3,9 @@
 Minor-value censuses, point-line and point-hyperplane incidences, unit-area
 axis-parallel rectangle counts, the grid closed form with the divisor
 function, and the multiset difference/product algebra with maximum
-multiplicity.  Counts are exact integers; a minor census counts integer
-determinants and builds one canonical reduced rational per distinct value.
+multiplicity.  Counts are exact integers.  A minor census is a pair (counts, D):
+counts[x] minors equal x/D, over one common denominator D > 0 (D = 1, with
+Fraction keys, for the d x d minors of a d x n matrix cleared by columns).
 """
 
 from __future__ import annotations
@@ -14,26 +15,26 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .constructions import IncidenceConfig, Point2
 from .exact import RatMatrix, clear_denominators, det_int, rat
 
 
-def minor_census(A: RatMatrix, k: int) -> Counter:
-    """Exact multiset of all k x k minor values of A.
+def minor_census(A: RatMatrix, k: int):
+    """Exact multiset of all k x k minor values of A, as a pair (counts, D).
 
-    Returns a Counter mapping canonical Fraction -> multiplicity.  Denominators
-    are cleared once, on the axis with narrower integers (rows on a tie; for
-    columns, on the transpose: det M = det M^T).  The shape of the cleared
-    matrix picks the loop:
+    counts[x] is the multiplicity of the value x/D, with D > 0, so the keys
+    sort like the values.  Denominators are cleared once, on the axis with
+    narrower integers (rows on a tie; for columns, on the transpose:
+    det M = det M^T).  The shape of the cleared matrix picks the loop:
 
     - exactly k wide (the d x d minors of a d x n matrix, cleared by
-      columns): every k-subset of cleared rows is one minor, so the census is
-      one pass over C iterators, one det_int call and one Fraction per minor;
+      columns): each minor has its own scale product, so D = 1 and the keys
+      are Fractions: one pass over C iterators, one det_int and one Fraction per minor;
     - wider: each row tuple adds its integer determinants, scaled to one
       common denominator D (the lcm of the k-subset scale products), to one
-      integer Counter; then one Fraction(x, D) is built per distinct value.
+      integer Counter, returned as it is.
     """
     k = operator.index(k)
     if k < 1:
@@ -45,7 +46,7 @@ def minor_census(A: RatMatrix, k: int) -> Counter:
         key=lambda cleared: max(abs(x).bit_length() for row in cleared[0] for x in row))
     if len(int_rows[0]) == k:
         return Counter(map(Fraction, map(det_int, combinations(int_rows, k)),
-                           map(prod, combinations(scales, k))))
+                           map(prod, combinations(scales, k)))), 1
     D = lcm(*map(prod, combinations(scales, k)))
     census = Counter()
     for I in combinations(range(len(int_rows)), k):
@@ -54,18 +55,21 @@ def minor_census(A: RatMatrix, k: int) -> Counter:
         dets = map(det_int, combinations(zip(*(int_rows[i] for i in I)), k))
         # factor 1 (every row scale equal, as on integer input) skips a multiply per minor
         census.update(dets if factor == 1 else map(factor.__mul__, dets))
-    return Counter({Fraction(x, D): m for x, m in census.items()})
+    return census, D
 
 
 def count_minors_equal(A: RatMatrix, k: int, t) -> int:
     """Number of k x k minors equal to t."""
-    return minor_census(A, k)[rat(t)]
+    counts, D = minor_census(A, k)
+    return counts[rat(t) * D]  # a non-integral t*D is no key: 0
 
 
 def max_repeated_minor(A: RatMatrix, k: int):
     """(value, multiplicity) of the most repeated minor; ties break to the
     smaller value."""
-    return min(minor_census(A, k).items(), key=lambda vm: (-vm[1], vm[0]))
+    counts, D = minor_census(A, k)
+    x, m = min(counts.items(), key=lambda xm: (-xm[1], xm[0]))
+    return Fraction(x, D), m
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +102,7 @@ def point_hyperplane_incidences(points, planes, ordered_restriction=None) -> int
     count = 0
     for a, h in enumerate(planes):
         cut = max(ordered_restriction[a]) if ordered_restriction is not None else 0
-        for kidx, p in enumerate(points, start=1):
-            if ordered_restriction is not None and kidx <= cut:
-                continue
-            if h.contains(p):
-                count += 1
+        count += sum(map(h.contains, points[cut:]))
     return count
 
 
@@ -114,9 +114,7 @@ def verify_no_Kd2(points, planes):
     if not planes:
         return True, None
     d = planes[0].dim
-    incident = []
-    for h in planes:
-        incident.append(frozenset(i for i, p in enumerate(points) if h.contains(p)))
+    incident = [frozenset(i for i, p in enumerate(points) if h.contains(p)) for h in planes]
     for a, b in combinations(range(len(planes)), 2):
         common = incident[a] & incident[b]
         if len(common) >= d:
@@ -283,17 +281,25 @@ def mu_nonzero(C) -> int:
 # census serialization: rows "value,multiplicity" sorted by value
 
 
-def _sorted_census(census: Counter):
-    """Items by value, compared exactly as integers over one common denominator."""
-    items = list(census.items())
-    (keys,), _ = clear_denominators([[v for v, _ in items]])
-    return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
+def _census_rows(census):
+    """(value text, multiplicity) rows of a (counts, D) census, sorted by
+    value: x/D reduced by gcd(x, D), or x itself when D = 1."""
+    counts, D = census
+    if D == 1:  # ints or (full height) Fractions, compared as integers over their lcm
+        items = list(counts.items())
+        (ints,), _ = clear_denominators([[x for x, _ in items]])
+        items = map(items.__getitem__, sorted(range(len(items)), key=ints.__getitem__))
+        return [(str(x), m) for x, m in items]
+    rows = []
+    for x in sorted(counts):
+        g = gcd(x, D)
+        rows.append((str(x // g) if g == D else "%d/%d" % (x // g, D // g), counts[x]))
+    return rows
 
 
-def census_to_csv(census: Counter) -> str:
-    lines = ["%s,%d" % (v, m) for v, m in _sorted_census(census)]
-    return "\n".join(lines) + ("\n" if lines else "")
+def census_to_csv(census) -> str:
+    return "".join("%s,%d\n" % row for row in _census_rows(census))
 
 
-def census_to_json(census: Counter) -> str:
-    return json.dumps({"census": [[str(v), m] for v, m in _sorted_census(census)]})
+def census_to_json(census) -> str:
+    return json.dumps({"census": _census_rows(census)})

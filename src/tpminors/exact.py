@@ -284,8 +284,6 @@ def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:
     m0 = minor(A, I0, J0)
     if m0 <= 0:
         raise ValueError("designated minor must be positive, got %s" % m0)
-    if m0 == 1:
-        return A
     return A.scale_row(1, Fraction(1, 1) / m0)
 
 
@@ -295,9 +293,7 @@ def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:
 
 
 def matrix_to_text(A: RatMatrix) -> str:
-    lines = ["%d %d" % (A.rows, A.cols)]
-    for row in A.entries:
-        lines.append(" ".join(str(e) for e in row))
+    lines = ["%d %d" % (A.rows, A.cols)] + [" ".join(map(str, row)) for row in A.entries]
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,4 @@
+import doctest
 import hashlib
 import json
 import shlex
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from tpminors import RatMatrix, matrix_to_text, verify_tp
 from tpminors.cli import build_parser, main
+
+from test_counting import census_oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -78,6 +81,79 @@ class TestCensusGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[name, order]
 
 
+class TestCensusJsonGolden:
+    """SHA-256 of census output pinned beside TestCensusGolden: the order-5
+    census of the power-census 10x10 input at seed 42 in CSV and JSON (wide
+    census, D of 175 bits), and the order-2 JSON census of a tp2xn matrix
+    (full-height census, D = 1 with Fraction keys)."""
+
+    POWER_A = "1/4,2/5,1/2,4/7,2/3,5/6,1,7/6,6/5,9/7"
+    POWER_B = "2,11/6,7/5,5/4,7/6,8/7,5/7,2/3,1/2,2/5"
+    SHA256 = {
+        ("power", "csv"): "700de95f50f92cf9de563d8b401213df7ed6ceb313fe58d44d002b0a511a032c",
+        ("power", "json"): "75fbe343392fb786aa086bf8c359b7fa15a7a160ad0c47cd0faeb8166a6e8dfd",
+        ("tp2xn", "json"): "5e9cd104340fb0691b77afb69c714611c498ad7eefd3303769f0b10cca2ac90c",
+    }
+
+    @pytest.mark.parametrize("name, fmt", sorted(SHA256))
+    def test_census_bytes(self, tmp_path, capsys, name, fmt):
+        mat = tmp_path / "m.txt"
+        if name == "power":
+            build, order = ["construct", "power-sum", "--a", self.POWER_A,
+                            "--b", self.POWER_B, "--k", "5"], "5"
+        else:
+            build, order = ["--seed", "7", "construct", "tp2xn", "--N", "3"], "2"
+        assert run(capsys, "--out", str(mat), *build)[0] == 0
+        code, out, err = run(capsys, "--format", fmt, "census", "--order", order,
+                             "--input", str(mat))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[name, fmt]
+
+
+@st.composite
+def census_cli_inputs(draw):
+    """Rational matrices for the CLI census, of two kinds:
+
+    - up to 4x5, entry (i, j) = n / (r_i c_j) with distinct row denominators
+      r_i from {1, 2, 4, 3, 9} and distinct column denominators c_j from
+      {5, 7, 11, 25}, coprime to the r_i: the cleared rows (or columns) have
+      unequal scales, so the wide census scales them to one D > 1;
+    - d x n, d = 1..3, over column denominators (as tp2xn matrices are):
+      the full-height census, D = 1 with Fraction keys.
+
+    Numerators include zero and negatives, so minors do too."""
+    nums = st.integers(-9, 9)
+    if draw(st.booleans()):
+        r, c = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        rd = draw(st.lists(st.sampled_from((1, 2, 4, 3, 9)), min_size=r, max_size=r, unique=True))
+        cd = draw(st.lists(st.sampled_from((5, 7, 11, 25)), min_size=min(c, 4), max_size=min(c, 4),
+                           unique=True)) + [1] * (c - 4)
+        return RatMatrix([[F(draw(nums), ri * cj) for cj in cd] for ri in rd])
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 7))
+    cd = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=n, max_size=n))
+    return RatMatrix([[F(draw(nums), cj) for cj in cd] for _ in range(d)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(census_cli_inputs())
+def test_census_output_matches_oracle(A):
+    """census prints, in CSV and JSON, the per-minor oracle census sorted by
+    value, each value as a reduced p/q."""
+    with tempfile.TemporaryDirectory() as d:
+        mat = Path(d, "m.txt")
+        mat.write_text(matrix_to_text(A))
+        for k in range(1, min(A.rows, A.cols) + 1):
+            rows = sorted(census_oracle(A, k).items())
+            want = {"csv": "".join("%s,%d\n" % (v, m) for v, m in rows),
+                    "json": json.dumps({"census": [[str(v), m] for v, m in rows]}) + "\n"}
+            for fmt in ("csv", "json"):
+                out = Path(d, "census." + fmt)
+                code = main(["--format", fmt, "--out", str(out), "census", "--order", str(k),
+                             "--input", str(mat)])
+                assert (code, out.read_text()) == (0, want[fmt])
+
+
 class TestGlobalFlags:
     @pytest.mark.parametrize("argv", [
         ["--seed", "7", "--out", "m.txt", "--format", "json", "construct", "grid"],
@@ -100,6 +176,10 @@ class TestGlobalFlags:
         code, out, _ = run(capsys, "census", "--order", "2", "--input", str(mat),
                            "--format", "json")
         assert code == 0 and json.loads(out)["census"][0] == ["1", 9]
+
+    def test_readme_library_example(self):
+        result = doctest.testfile(str(README), module_relative=False)
+        assert result.attempted > 0 and result.failed == 0
 
     def test_readme_cli_block_parses(self):
         block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]
@@ -257,6 +337,16 @@ class TestScanAndSt:
         assert code == 0 and explicit == default
         code, both, _ = run(capsys, *argv, "--area", "2", "--mode", "both-diagonals")
         assert code == 0 and both != default
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_fit_warns(self, capsys, fmt):
+        code, out, err = run(capsys, "--format", fmt, "scan", "--family", "random-points",
+                             "--sizes", "0,1,2")
+        assert code == 0
+        assert ("# slope=nan" in out) if fmt == "csv" else json.loads(out)["slope"] is None
+        assert err == "warning: no slope fitted: 0 of 3 rows have a nonzero count, 3 are needed\n"
+        code, _, err = run(capsys, "--format", fmt, "scan", "--family", "grid", "--sizes", "4,6,8")
+        assert (code, err) == (0, "")
 
     def test_check_st(self, capsys):
         code, out, _ = run(capsys, "check-st", "--m", "54", "--n", "27",

@@ -35,6 +35,8 @@ from tpminors import (
     verify_tp,
 )
 
+from test_counting import fraction_census
+
 
 def det2(p, q):
     # determinant of the 2x2 matrix with columns p, q
@@ -384,7 +386,7 @@ class TestGridMatrix:
     def test_minor_multiset_matches_area_products(self):
         n = 5
         G = grid_matrix(n)
-        census = minor_census(G, 2)
+        census = fraction_census(minor_census(G, 2))
         from collections import Counter
         expected = Counter()
         for i in range(1, n + 1):

@@ -39,6 +39,14 @@ from tpminors.counting import census_to_csv, census_to_json
 from tpminors.exact import clear_denominators, det_int
 
 
+def fraction_census(census):
+    """The {Fraction(x, D): m} multiset of a (counts, D) census, for comparing
+    with the oracles value by value."""
+    counts, D = census
+    assert type(D) is int and D > 0
+    return Counter({F(x, D): m for x, m in counts.items()})
+
+
 def census_oracle(A, k):
     """The per-minor census: denominators cleared per row, one Fraction and
     one Counter update per minor."""
@@ -135,15 +143,15 @@ def wide_matrices(draw):
 
 class TestMinorCensus:
     def test_grid3_all_pairs(self):
-        assert minor_census(grid_matrix(3), 2) == {F(1): 4, F(2): 4, F(4): 1}
+        assert fraction_census(minor_census(grid_matrix(3), 2)) == {F(1): 4, F(2): 4, F(4): 1}
 
     def test_columns_only(self):
         A = RatMatrix([[1, 2, 1], [1, 3, 2]])
-        assert minor_census(A, 2) == {F(1): 3}
+        assert fraction_census(minor_census(A, 2)) == {F(1): 3}
 
     def test_order_one_is_entries(self):
         A = RatMatrix([[F(1, 2), 3], [3, F(1, 2)]])
-        assert minor_census(A, 1) == {F(1, 2): 2, F(3): 2}
+        assert fraction_census(minor_census(A, 1)) == {F(1, 2): 2, F(3): 2}
 
     def test_scope_validation(self):
         with pytest.raises(ValueError):
@@ -156,8 +164,8 @@ class TestMinorCensus:
     def test_total_mass(self):
         from math import comb
         A = power_sum_matrix(range(1, 6), range(5, 0, -1), 2)
-        census = minor_census(A, 2)
-        assert sum(census.values()) == comb(5, 2) ** 2
+        counts, _ = minor_census(A, 2)
+        assert sum(counts.values()) == comb(5, 2) ** 2
 
 
 class TestCensusAgainstOracle:
@@ -165,7 +173,7 @@ class TestCensusAgainstOracle:
     @given(census_matrices())
     def test_every_order(self, A):
         for k in range(1, min(A.rows, A.cols) + 1):
-            assert minor_census(A, k) == census_oracle(A, k)
+            assert fraction_census(minor_census(A, k)) == census_oracle(A, k)
 
     def operand_bits(self, monkeypatch, A, k):
         """Census of A and the widest integer handed to det_int."""
@@ -176,7 +184,7 @@ class TestCensusAgainstOracle:
             return det_int(m)
 
         monkeypatch.setattr(counting, "det_int", recording)
-        return minor_census(A, k), max(widths)
+        return fraction_census(minor_census(A, k)), max(widths)
 
     # column denominators 7, 11, 13: per column the integers stay below 16,
     # per row they are multiplied by up to 13 * 11
@@ -197,7 +205,7 @@ class TestCensusAgainstOracle:
     @settings(max_examples=200, deadline=None)
     @given(wide_matrices())
     def test_full_height_minors(self, A):
-        assert minor_census(A, A.rows) == census_oracle(A, A.rows)
+        assert fraction_census(minor_census(A, A.rows)) == census_oracle(A, A.rows)
 
     # 2 x 5 over column denominators 2, 4, 1, 3, 6: the minors include 0,
     # negatives, and equal values over different scale products
@@ -223,15 +231,14 @@ class TestCensusAgainstOracle:
             return det_int(m)
 
         monkeypatch.setattr(counting, "det_int", recording)
-        census = minor_census(A, d)
-        assert census == census_oracle(A, d)
+        assert fraction_census(minor_census(A, d)) == census_oracle(A, d)
         assert len(calls) == comb(n, d)
         assert all(len(m) == d and all(len(r) == d for r in m) for m in calls)
         assert max(abs(x).bit_length() for m in calls for r in m for x in r) <= 3
 
     def test_equal_values_from_different_scales(self):
         # -1/2 is -3/(2*3) and -2/(4*1); 1/2 is 6/(2*6) and 9/(3*6)
-        assert minor_census(RatMatrix(self.WIDE), 2) == {
+        assert fraction_census(minor_census(RatMatrix(self.WIDE), 2)) == {
             F(1, 4): 1, F(0): 1, F(-1, 2): 2, F(1, 2): 2, F(-13, 12): 1,
             F(5, 6): 1, F(-1): 1, F(1): 1}
 
@@ -251,7 +258,7 @@ class TestCensusAgainstOracle:
             return det_int(M)
 
         monkeypatch.setattr(counting, "det_int", recording)
-        assert minor_census(A, k) == census_oracle(A, k)
+        assert fraction_census(minor_census(A, k)) == census_oracle(A, k)
         assert len(calls) == comb(m, k) * comb(n, k)
         assert all(len(M) == k and all(len(r) == k for r in M) for M in calls)
 
@@ -270,7 +277,7 @@ class TestCensusAgainstOracle:
             "-6,1\n-14/3,1\n-4,1\n-7/2,1\n-3,1\n-5/2,1\n-2,2\n-7/4,1\n-1,2\n"
             "-2/3,1\n-1/2,2\n-1/6,1\n0,6\n1/6,2\n1/4,1\n1/3,4\n1/2,2\n2/3,1\n"
             "1,1\n5/3,1\n7/4,1\n7/2,1\n5,1\n")
-        assert census == census_oracle(RatMatrix(self.ROWS), 2)
+        assert fraction_census(census) == census_oracle(RatMatrix(self.ROWS), 2)
 
 
 class TestCensusOutputOrder:
@@ -281,16 +288,21 @@ class TestCensusOutputOrder:
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(values, st.integers(1, 10 ** 6), max_size=40))
     def test_sorted_by_value(self, items):
-        census = Counter(items)
-        rows = sorted(census.items())
-        assert census_to_csv(census) == "".join("%s,%d\n" % (v, m) for v, m in rows)
-        assert census_to_json(census) == json.dumps({"census": [[str(v), m] for v, m in rows]})
+        rows = sorted(items.items())
+        csv = "".join("%s,%d\n" % (v, m) for v, m in rows)
+        js = json.dumps({"census": [[str(v), m] for v, m in rows]})
+        # the same values as Fraction keys over D = 1 and as integers over their lcm
+        (keys,), (L,) = clear_denominators([list(items)])
+        for census in ((Counter(items), 1), (Counter(dict(zip(keys, items.values()))), L)):
+            assert census_to_csv(census) == csv
+            assert census_to_json(census) == js
 
     def test_empty_and_zero(self):
-        assert census_to_csv(Counter()) == ""
-        assert census_to_json(Counter()) == '{"census": []}'
+        assert census_to_csv((Counter(), 1)) == ""
+        assert census_to_json((Counter(), 6)) == '{"census": []}'
         census = Counter({F(0): 2, F(-1, 3): 1, F(1, 3): 4})
-        assert census_to_csv(census) == "-1/3,1\n0,2\n1/3,4\n"
+        assert census_to_csv((census, 1)) == "-1/3,1\n0,2\n1/3,4\n"
+        assert census_to_csv((Counter({0: 2, -2: 1, 2: 4, 6: 1}), 6)) == "-1/3,1\n0,2\n1/3,4\n1,1\n"
 
 
 class TestCountersOverCensus:
@@ -306,6 +318,34 @@ class TestCountersOverCensus:
         A = power_sum_matrix(range(1, 5), range(4, 0, -1), 2)
         assert count_minors_equal(A, 2, 0) == 0
 
+    def test_count_equal_off_the_common_denominator(self):
+        A = RatMatrix(TestCensusAgainstOracle.ROWS)
+        assert minor_census(A, 2)[1] == 12
+        assert count_minors_equal(A, 2, F(1, 3)) == 4
+        assert count_minors_equal(A, 2, F(-14, 3)) == 1
+        # t * 12 is not an integer: no minor can equal t
+        assert count_minors_equal(A, 2, F(1, 5)) == 0
+        assert count_minors_equal(A, 2, F(1, 24)) == 0
+
+    def test_count_equal_full_height(self):
+        A = RatMatrix(TestCensusAgainstOracle.WIDE)
+        assert minor_census(A, 2)[1] == 1
+        assert count_minors_equal(A, 2, F(-1, 2)) == 2
+        assert count_minors_equal(A, 2, "-13/12") == 1
+        assert count_minors_equal(A, 2, F(1, 3)) == 0
+
+    @pytest.mark.parametrize("rows, D", [
+        # columns cleared (scales 2, 3, 1), wider than k = 1: integer keys over D = 6
+        ([[F(-1, 2), F(-1, 3), 1], [F(-1, 2), F(-1, 3), 5]], 6),
+        # one row cleared column by column, exactly k = 1 wide: Fraction keys, D = 1
+        ([[F(-1, 2), F(-1, 3), F(-1, 2), F(-1, 3), F(1, 6)]], 1),
+    ], ids=["wide", "full-height"])
+    def test_max_repeated_negative_tie(self, rows, D):
+        A = RatMatrix(rows)
+        assert minor_census(A, 1)[1] == D
+        # -1/2 and -1/3 both appear twice: the tie breaks to the smaller value
+        assert max_repeated_minor(A, 1) == (F(-1, 2), 2)
+
     def test_max_repeated(self):
         assert max_repeated_minor(grid_matrix(4), 2) == (F(2), 12)
         # tie between values 1 and 2 breaks to the smaller value
@@ -313,8 +353,8 @@ class TestCountersOverCensus:
         assert max_repeated_minor(RatMatrix([[3, 4], [2, 3]]), 2) == (F(1), 1)
 
     def test_distinct_counts(self):
-        assert len(minor_census(grid_matrix(3), 2)) == 3
-        assert len(minor_census(RatMatrix([[3, 4], [2, 3]]), 2)) == 1
+        assert len(minor_census(grid_matrix(3), 2)[0]) == 3
+        assert len(minor_census(RatMatrix([[3, 4], [2, 3]]), 2)[0]) == 1
 
     def test_distinct_power_sum_matches_products(self):
         a, b = (1, 2, 3), (3, 2, 1)
@@ -325,7 +365,7 @@ class TestCountersOverCensus:
                 for k in range(3):
                     for l in range(k + 1, 3):
                         values.add(F((a[l] - a[k]) * (b[i] - b[j])))
-        assert len(minor_census(A, 2)) == len(values)
+        assert len(minor_census(A, 2)[0]) == len(values)
 
 
 class TestIncidences:
@@ -452,7 +492,7 @@ class TestGridClosedForm:
 
     def test_bridge_small(self):
         for n in range(2, 12):
-            census = minor_census(grid_matrix(n), 2)
+            census = fraction_census(minor_census(grid_matrix(n), 2))
             for v, m in census.items():
                 assert v.denominator == 1
                 assert m == grid_area_k_count(n, v.numerator)
