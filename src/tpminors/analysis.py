@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,7 +63,7 @@ class RunConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError("unknown family %r (choose from %r)" % (self.family, FAMILIES))
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(map(operator.index, self.sizes))  # a float size is a TypeError
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
         object.__setattr__(self, "sizes", sizes)
@@ -149,6 +150,7 @@ def st_bound_check(m: int, n: int, I: int, constant) -> bool:
     Rearranged to (I/constant - m - n)^3 <= (m n)^2 so the fractional powers
     disappear and the comparison is pure rational arithmetic.
     """
+    m, n, I = operator.index(m), operator.index(n), operator.index(I)
     if m < 0 or n < 0 or I < 0:
         raise ValueError("m, n, I must be nonnegative")
     c = rat(constant)

@@ -4,8 +4,9 @@ Minor-value censuses, point-line and point-hyperplane incidences, unit-area
 axis-parallel rectangle counts, the grid closed form with the divisor
 function, and the multiset difference/product algebra with maximum
 multiplicity.  Counts are exact integers.  A minor census is a pair (counts, D):
-counts[x] minors equal x/D, over one common denominator D > 0 (D = 1, with
-Fraction keys, for the d x d minors of a d x n matrix cleared by columns).
+counts[x] minors equal x/D, over one common denominator D > 0; or, for the
+d x d minors of a d x n matrix cleared by columns, D is None and counts[(p, q)]
+minors equal p/q, a reduced pair with q > 0.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import operator
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, tee
 from math import gcd, isqrt, lcm, prod
 
 from .constructions import IncidenceConfig, Point2
@@ -24,17 +25,19 @@ from .exact import RatMatrix, clear_denominators, det_int, rat
 def minor_census(A: RatMatrix, k: int):
     """Exact multiset of all k x k minor values of A, as a pair (counts, D).
 
-    counts[x] is the multiplicity of the value x/D, with D > 0, so the keys
-    sort like the values.  Denominators are cleared once, on the axis with
-    narrower integers (rows on a tie; for columns, on the transpose:
-    det M = det M^T).  The shape of the cleared matrix picks the loop:
+    Denominators are cleared once, on the axis with narrower integers (rows
+    on a tie; for columns, on the transpose: det M = det M^T).  The shape of
+    the cleared matrix picks the loop:
 
     - exactly k wide (the d x d minors of a d x n matrix, cleared by
-      columns): each minor has its own scale product, so D = 1 and the keys
-      are Fractions: one pass over C iterators, one det_int and one Fraction per minor;
+      columns): each minor v/s has its own scale product s, so D is None and
+      counts[(p, q)] is the multiplicity of the value p/q, reduced by
+      gcd(v, s) with q > 0 (zero is (0, 1)): one streaming pass over C
+      iterators, one det_int per minor and no Fraction;
     - wider: each row tuple adds its integer determinants, scaled to one
-      common denominator D (the lcm of the k-subset scale products), to one
-      integer Counter, returned as it is.
+      common denominator D > 0 (the lcm of the k-subset scale products), to
+      one integer Counter, returned as it is; counts[x] is the multiplicity
+      of the value x/D, so the keys sort like the values.
     """
     k = operator.index(k)
     if k < 1:
@@ -45,8 +48,12 @@ def minor_census(A: RatMatrix, k: int):
         clear_denominators(A.entries), clear_denominators(zip(*A.entries)),
         key=lambda cleared: max(abs(x).bit_length() for row in cleared[0] for x in row))
     if len(int_rows[0]) == k:
-        return Counter(map(Fraction, map(det_int, combinations(int_rows, k)),
-                           map(prod, combinations(scales, k)))), 1
+        # v/s as (v // g, s // g), g = gcd(v, s) > 0 since s > 0: one key per value
+        dets, dets_ = tee(map(det_int, combinations(int_rows, k)))
+        scale, scale_ = tee(map(prod, combinations(scales, k)))
+        g, g_ = tee(map(gcd, dets, scale))
+        div = operator.floordiv
+        return Counter(zip(map(div, dets_, g), map(div, scale_, g_))), None
     D = lcm(*map(prod, combinations(scales, k)))
     census = Counter()
     for I in combinations(range(len(int_rows)), k):
@@ -58,18 +65,30 @@ def minor_census(A: RatMatrix, k: int):
     return census, D
 
 
+def _by_value(counts, D):
+    """The keys of a (counts, D) census in increasing order of value; pairs
+    (p, q) sort on the integers p * (L // q), L the lcm of the q's."""
+    if D is not None:
+        return sorted(counts)
+    L = lcm(*{q for _, q in counts})
+    return sorted(counts, key=lambda pq: pq[0] * (L // pq[1]))
+
+
 def count_minors_equal(A: RatMatrix, k: int, t) -> int:
     """Number of k x k minors equal to t."""
     counts, D = minor_census(A, k)
-    return counts[rat(t) * D]  # a non-integral t*D is no key: 0
+    t = rat(t)
+    if D is None:
+        return counts[t.numerator, t.denominator]
+    return counts[t * D]  # a non-integral t*D is no key: 0
 
 
 def max_repeated_minor(A: RatMatrix, k: int):
     """(value, multiplicity) of the most repeated minor; ties break to the
     smaller value."""
     counts, D = minor_census(A, k)
-    x, m = min(counts.items(), key=lambda xm: (-xm[1], xm[0]))
-    return Fraction(x, D), m
+    x = max(_by_value(counts, D), key=counts.__getitem__)  # the first, so the smallest
+    return (Fraction(*x) if D is None else Fraction(x, D)), counts[x]
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +302,16 @@ def mu_nonzero(C) -> int:
 
 def _census_rows(census):
     """(value text, multiplicity) rows of a (counts, D) census, sorted by
-    value: x/D reduced by gcd(x, D), or x itself when D = 1."""
+    value: p/q, or p when q = 1, with x/D reduced by gcd(x, D)."""
     counts, D = census
-    if D == 1:  # ints or (full height) Fractions, compared as integers over their lcm
-        items = list(counts.items())
-        (ints,), _ = clear_denominators([[x for x, _ in items]])
-        items = map(items.__getitem__, sorted(range(len(items)), key=ints.__getitem__))
-        return [(str(x), m) for x, m in items]
     rows = []
-    for x in sorted(counts):
-        g = gcd(x, D)
-        rows.append((str(x // g) if g == D else "%d/%d" % (x // g, D // g), counts[x]))
+    for x in _by_value(counts, D):
+        if D is None:
+            p, q = x
+        else:
+            g = gcd(x, D)
+            p, q = x // g, D // g
+        rows.append((str(p) if q == 1 else "%d/%d" % (p, q), counts[x]))
     return rows
 
 

@@ -94,6 +94,12 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_exponent(RunConfig("grid", (10, 20)))
 
+    @pytest.mark.parametrize("sizes", [(4.7, 6, 8), (4, 6.0, 8), ("4", 6, 8)])
+    def test_non_integer_size_rejected(self, sizes):
+        # read like minor_census reads its order: never truncated to n = 4
+        with pytest.raises(TypeError):
+            RunConfig("grid", sizes)
+
 
 class TestReportFormats:
     def test_csv_trailer(self):
@@ -128,6 +134,12 @@ class TestStBound:
         # with m=n=0 the bound is 0, so any positive I fails
         assert st_bound_check(0, 0, 0, F(5, 2))
         assert not st_bound_check(0, 0, 1, F(5, 2))
+
+    @pytest.mark.parametrize("m, n, I", [(1.5, 2, 3), (2, 2.0, 3), (2, 2, 3.0), (2, 2, F(3))])
+    def test_non_integer_counts_rejected(self, m, n, I):
+        # no float (or Fraction) reaches the exact comparison
+        with pytest.raises(TypeError):
+            st_bound_check(m, n, I, "5/2")
 
     def test_rational_constant(self):
         # I/c - m - n positive branch exercises the cubed comparison

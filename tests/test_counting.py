@@ -3,10 +3,10 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tpminors import (
     Hyperplane,
@@ -40,9 +40,14 @@ from tpminors.exact import clear_denominators, det_int
 
 
 def fraction_census(census):
-    """The {Fraction(x, D): m} multiset of a (counts, D) census, for comparing
-    with the oracles value by value."""
+    """The {Fraction(x, D): m} multiset of a (counts, D) census, or
+    {Fraction(p, q): m} of a full-height census (D None, reduced pair keys),
+    for comparing with the oracles value by value."""
     counts, D = census
+    if D is None:
+        assert all(type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1
+                   for p, q in counts)
+        return Counter({F(p, q): m for (p, q), m in counts.items()})
     assert type(D) is int and D > 0
     return Counter({F(x, D): m for x, m in counts.items()})
 
@@ -207,6 +212,19 @@ class TestCensusAgainstOracle:
     def test_full_height_minors(self, A):
         assert fraction_census(minor_census(A, A.rows)) == census_oracle(A, A.rows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(wide_matrices())
+    def test_full_height_keys_are_reduced_pairs(self, A):
+        """Each value has one key: (p, q) with q > 0 and gcd(p, q) = 1, so
+        zero is (0, 1) and no two keys are equal values."""
+        counts, D = minor_census(A, A.rows)
+        assume(D is None)  # integer input ties, and rows are cleared
+        for p, q in counts:
+            assert type(p) is int and type(q) is int
+            assert q > 0 and gcd(p, q) == 1
+            assert p != 0 or q == 1
+        assert len({F(p, q) for p, q in counts}) == len(counts)
+
     # 2 x 5 over column denominators 2, 4, 1, 3, 6: the minors include 0,
     # negatives, and equal values over different scale products
     WIDE = [[F(1, 2), F(3, 4), F(1), F(2, 3), F(-1, 6)],
@@ -291,17 +309,19 @@ class TestCensusOutputOrder:
         rows = sorted(items.items())
         csv = "".join("%s,%d\n" % (v, m) for v, m in rows)
         js = json.dumps({"census": [[str(v), m] for v, m in rows]})
-        # the same values as Fraction keys over D = 1 and as integers over their lcm
+        # the same values as reduced pairs over None and as integers over their lcm
+        pairs = Counter({(v.numerator, v.denominator): m for v, m in items.items()})
         (keys,), (L,) = clear_denominators([list(items)])
-        for census in ((Counter(items), 1), (Counter(dict(zip(keys, items.values()))), L)):
+        for census in ((pairs, None), (Counter(dict(zip(keys, items.values()))), L)):
             assert census_to_csv(census) == csv
             assert census_to_json(census) == js
 
     def test_empty_and_zero(self):
         assert census_to_csv((Counter(), 1)) == ""
+        assert census_to_csv((Counter(), None)) == ""
         assert census_to_json((Counter(), 6)) == '{"census": []}'
-        census = Counter({F(0): 2, F(-1, 3): 1, F(1, 3): 4})
-        assert census_to_csv((census, 1)) == "-1/3,1\n0,2\n1/3,4\n"
+        census = Counter({(0, 1): 2, (-1, 3): 1, (1, 3): 4})
+        assert census_to_csv((census, None)) == "-1/3,1\n0,2\n1/3,4\n"
         assert census_to_csv((Counter({0: 2, -2: 1, 2: 4, 6: 1}), 6)) == "-1/3,1\n0,2\n1/3,4\n1,1\n"
 
 
@@ -329,16 +349,20 @@ class TestCountersOverCensus:
 
     def test_count_equal_full_height(self):
         A = RatMatrix(TestCensusAgainstOracle.WIDE)
-        assert minor_census(A, 2)[1] == 1
+        assert minor_census(A, 2)[1] is None
         assert count_minors_equal(A, 2, F(-1, 2)) == 2
         assert count_minors_equal(A, 2, "-13/12") == 1
         assert count_minors_equal(A, 2, F(1, 3)) == 0
+        # the value is read as a reduced rational, so 2/4 finds the key (1, 2)
+        assert count_minors_equal(A, 2, "2/4") == 2
+        assert count_minors_equal(A, 2, "-2/4") == 2
+        assert count_minors_equal(A, 2, 0) == 1
 
     @pytest.mark.parametrize("rows, D", [
         # columns cleared (scales 2, 3, 1), wider than k = 1: integer keys over D = 6
         ([[F(-1, 2), F(-1, 3), 1], [F(-1, 2), F(-1, 3), 5]], 6),
-        # one row cleared column by column, exactly k = 1 wide: Fraction keys, D = 1
-        ([[F(-1, 2), F(-1, 3), F(-1, 2), F(-1, 3), F(1, 6)]], 1),
+        # one row cleared column by column, exactly k = 1 wide: reduced pair keys, D None
+        ([[F(-1, 2), F(-1, 3), F(-1, 2), F(-1, 3), F(1, 6)]], None),
     ], ids=["wide", "full-height"])
     def test_max_repeated_negative_tie(self, rows, D):
         A = RatMatrix(rows)
