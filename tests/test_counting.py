@@ -218,7 +218,7 @@ class TestCensusAgainstOracle:
         """Each value has one key: (p, q) with q > 0 and gcd(p, q) = 1, so
         zero is (0, 1) and no two keys are equal values."""
         counts, D = minor_census(A, A.rows)
-        assume(D is None)  # integer input ties, and rows are cleared
+        assume(D is None)  # rows no wider than columns (a tie on integer entries): wide path
         for p, q in counts:
             assert type(p) is int and type(q) is int
             assert q > 0 and gcd(p, q) == 1
