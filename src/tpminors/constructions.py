@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .exact import RatMatrix, clear_denominators, det, det_int, rat, verify_tp_contiguous
 # verify_tp is not called here; perfbench/layers.py wraps it at this lookup site
@@ -207,6 +207,26 @@ def check_constraints(cfg: IncidenceConfig) -> ConstraintReport:
     return report
 
 
+def _place(imgs, line_imgs) -> IncidenceConfig:
+    """Dehomogenize integer point and line images, then shear and translate
+    them into the first quadrant with positive slopes and intercepts."""
+    pts = [(Fraction(X, Z), Fraction(Y, Z)) for X, Y, Z in imgs]
+    lines = [(Fraction(-A, B), Fraction(-C, B)) for A, B, C in line_imgs]
+    # shear y -> y + t*x pushes every slope above zero, then translate by
+    # (u, v) into the first quadrant with positive intercepts
+    min_m = min((m for m, _ in lines), default=1)
+    t = 1 - min_m if min_m <= 0 else 0
+    min_x = min((x for x, _ in pts), default=1)
+    u = 1 - min_x if min_x <= 0 else 0
+    min_y = min((y + t * x for x, y in pts), default=1)
+    v = max([-min_y] + [(m + t) * u - c for m, c in lines]) + 1
+    # a nonsingular map, shear and translation keep points and lines distinct
+    return IncidenceConfig(
+        tuple(Point2(x + u, y + t * x + v) for x, y in pts),
+        tuple(Line2(m + t, c + v - (m + t) * u) for m, c in lines),
+    )
+
+
 def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> IncidenceConfig:
     """Relabel cfg by an exact projective-then-affine map into canonical form.
 
@@ -215,21 +235,22 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
     (-m, 1, -c) are cleared once to integer homogeneous vectors.  Each
     attempt draws a random integer 3x3 map M; it is rejected if M is
     singular, if its vanishing line meets a point (an image with third
-    coordinate 0) or if a line comes out vertical.  Lines map by the
-    adjugate of M, all in integers; rationals appear only when the images
-    are dehomogenized.  One shear and translation then make slopes,
-    intercepts and point coordinates positive.  Lines whose crossing the map
-    sends to infinity come out vertical (rejected) or parallel
-    (constraint 1); check_constraints is the one test for those and every
-    other residual coincidence, and a violation triggers a retry.
-    Deterministic given (cfg, seed); raises after ``budget`` attempts.
+    coordinate 0), if a line comes out vertical, or if two lines come out
+    parallel (constraint 1; lines whose crossing the map sends to infinity).
+    Lines map by the adjugate of M, and all four tests run in integers;
+    rationals appear only when an attempt that passes them is dehomogenized.
+    One shear and translation then make slopes, intercepts and point
+    coordinates positive.  check_constraints is the one full test on every
+    candidate so built, and a violation triggers a retry.  Deterministic
+    given (cfg, seed); raises after ``budget`` attempts, with the report of
+    the last attempt that got past the vertical-line test.
     """
     if len(set(cfg.points)) != len(cfg.points):
         raise ValueError("points must be distinct")
     rng = random.Random(seed)
     point_vecs, _ = clear_denominators((p.x, p.y, 1) for p in cfg.points)
     line_vecs, _ = clear_denominators((-l.m, 1, -l.c) for l in cfg.lines)
-    last_report = None
+    last_report = last_imgs = None
     for _ in range(budget):
         M = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
         if det_int3(M) == 0:
@@ -247,25 +268,20 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
                      for v in line_vecs]
         if any(B == 0 for _, B, _ in line_imgs):
             continue
-        pts = [(Fraction(X, Z), Fraction(Y, Z)) for X, Y, Z in imgs]
-        lines = [(Fraction(-A, B), Fraction(-C, B)) for A, B, C in line_imgs]
-        # shear y -> y + t*x pushes every slope above zero, then translate by
-        # (u, v) into the first quadrant with positive intercepts
-        min_m = min((m for m, _ in lines), default=1)
-        t = 1 - min_m if min_m <= 0 else 0
-        min_x = min((x for x, _ in pts), default=1)
-        u = 1 - min_x if min_x <= 0 else 0
-        min_y = min((y + t * x for x, y in pts), default=1)
-        v = max([-min_y] + [(m + t) * u - c for m, c in lines]) + 1
-        # a nonsingular map, shear and translation keep points and lines distinct
-        candidate = IncidenceConfig(
-            tuple(Point2(x + u, y + t * x + v) for x, y in pts),
-            tuple(Line2(m + t, c + v - (m + t) * u) for m, c in lines),
-        )
-        report = check_constraints(candidate)
-        if report.ok:
+        # parallel lines (constraint 1) stay parallel under the shear and
+        # translation: equal slopes -A/B, keyed by (A, B) reduced with B > 0
+        slopes = {(A // g, B // g) for A, B, _ in line_imgs
+                  for g in [gcd(A, B) if B > 0 else -gcd(A, B)]}
+        if len(slopes) < len(line_imgs):
+            last_report, last_imgs = None, (imgs, line_imgs)
+            continue
+        candidate = _place(imgs, line_imgs)
+        last_report = check_constraints(candidate)
+        if last_report.ok:
             return candidate
-        last_report = report
+    if last_report is None and last_imgs is not None:
+        # the last attempt was rejected before it was built: report it in full
+        last_report = check_constraints(_place(*last_imgs))
     raise CanonicalizationError(
         "canonicalization failed after %d attempts" % budget,
         config=cfg,

@@ -67,11 +67,12 @@ def minor_census(A: RatMatrix, k: int):
 
 def _by_value(counts, D):
     """The keys of a (counts, D) census in increasing order of value; pairs
-    (p, q) sort on the integers p * (L // q), L the lcm of the q's."""
+    (p, q) sort on floor(p * 2^K / q), K twice the bit length of the largest
+    q, Q: distinct values differ by at least 1/Q^2 > 2^-K, so the floors do too."""
     if D is not None:
         return sorted(counts)
-    L = lcm(*{q for _, q in counts})
-    return sorted(counts, key=lambda pq: pq[0] * (L // pq[1]))
+    K = 2 * max((q for _, q in counts), default=1).bit_length()
+    return sorted(counts, key=lambda pq: (pq[0] << K) // pq[1])
 
 
 def count_minors_equal(A: RatMatrix, k: int, t) -> int:

@@ -89,8 +89,11 @@ class RatMatrix:
 
     def submatrix(self, I, J):
         """Submatrix A_{I,J} selected by 1-based strictly increasing tuples."""
-        I = check_index_tuple(I, self.rows, "row tuple")
-        J = check_index_tuple(J, self.cols, "column tuple")
+        return self._select(check_index_tuple(I, self.rows, "row tuple"),
+                            check_index_tuple(J, self.cols, "column tuple"))
+
+    def _select(self, I, J):
+        """A_{I,J} for index tuples already known to be valid."""
         # the entries are already reduced Fractions: skip the rat pass of __init__
         sub = RatMatrix.__new__(RatMatrix)
         sub._rows = tuple(tuple(self._rows[i - 1][j - 1] for j in J) for i in I)
@@ -240,7 +243,7 @@ def _first_nonpositive(A: RatMatrix, orders, subsets=combinations) -> TpVerdict:
     for k in orders:
         for I in subsets(rows, k):
             for J in subsets(cols, k):
-                v = det(A.submatrix(I, J))
+                v = det(A._select(I, J))  # subsets of valid ranges: no re-check
                 if v <= 0:
                     return TpVerdict(False, (k, I, J, v))
     return TpVerdict(True)

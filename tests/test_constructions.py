@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tpminors import (
     CanonicalizationError,
@@ -34,6 +34,8 @@ from tpminors import (
     verify_no_Kd2,
     verify_tp,
 )
+from tpminors import constructions
+from tpminors.exact import clear_denominators, det_int
 
 from test_counting import fraction_census
 
@@ -294,6 +296,92 @@ class TestCanonicalGolden:
             canonicalize_config(elekes_config(5), seed=16005)
         assert err.value.last_report.violations == [
             (1, (26, 75)), (1, (31, 82)), (1, (36, 89)), (1, (41, 96))]
+
+
+def canonicalize_oracle(cfg, seed, budget):
+    """Slow oracle for canonicalize_config: the same RNG draws and early
+    rejections, but every attempt past the vertical-line test is built in
+    rationals and judged by check_constraints alone (parallel lines too)."""
+    rng = random.Random(seed)
+    point_vecs, _ = clear_denominators((p.x, p.y, 1) for p in cfg.points)
+    line_vecs, _ = clear_denominators((-l.m, 1, -l.c) for l in cfg.lines)
+    last_report = None
+    for _ in range(budget):
+        M = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        if det_int(M) == 0:
+            continue
+        imgs = [[r[0] * X + r[1] * Y + r[2] * Z for r in M] for X, Y, Z in point_vecs]
+        if any(w[2] == 0 for w in imgs):
+            continue
+        adj = [[(-1) ** (i + j) * det_int([[M[r][c] for c in range(3) if c != i]
+                                            for r in range(3) if r != j])
+                for j in range(3)] for i in range(3)]
+        line_imgs = [[sum(v[i] * adj[i][j] for i in range(3)) for j in range(3)]
+                     for v in line_vecs]
+        if any(B == 0 for _, B, _ in line_imgs):
+            continue
+        pts = [(F(X, Z), F(Y, Z)) for X, Y, Z in imgs]
+        lines = [(F(-A, B), F(-C, B)) for A, B, C in line_imgs]
+        min_m = min((m for m, _ in lines), default=1)
+        t = 1 - min_m if min_m <= 0 else 0
+        min_x = min((x for x, _ in pts), default=1)
+        u = 1 - min_x if min_x <= 0 else 0
+        min_y = min((y + t * x for x, y in pts), default=1)
+        v = max([-min_y] + [(m + t) * u - c for m, c in lines]) + 1
+        candidate = IncidenceConfig(
+            tuple(Point2(x + u, y + t * x + v) for x, y in pts),
+            tuple(Line2(m + t, c + v - (m + t) * u) for m, c in lines),
+        )
+        last_report = check_constraints(candidate)
+        if last_report.ok:
+            return candidate
+    raise CanonicalizationError("oracle budget exhausted", config=cfg, last_report=last_report)
+
+
+def canonical_outcome(canonicalize, cfg, seed, budget):
+    """config_to_json of the result, or the violations of the last report."""
+    try:
+        return config_to_json(canonicalize(cfg, seed, budget))
+    except CanonicalizationError as err:
+        return err.last_report and err.last_report.violations
+
+
+# wider than coords, so that some configurations have no parallel lines
+rationals = st.one_of(coords, st.fractions(-20, 20, max_denominator=7))
+
+
+class TestCanonicalizeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.builds(Point2, rationals, rationals), unique=True, max_size=10),
+        st.lists(st.builds(Line2, rationals, rationals), unique=True, max_size=8),
+        st.integers(0, 2**32), st.integers(1, 8),
+    )
+    def test_random_configs(self, points, lines, seed, budget):
+        cfg = IncidenceConfig(tuple(points), tuple(lines))
+        assert (canonical_outcome(canonicalize_config, cfg, seed, budget)
+                == canonical_outcome(canonicalize_oracle, cfg, seed, budget))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32), st.integers(1, 8))
+    # the last attempt makes two lines parallel, after an attempt that was
+    # built and rejected on other constraints: the report is rebuilt
+    @example(2, 2449336412, 3)
+    @example(4, 2323873330, 5)
+    def test_elekes(self, N, seed, budget):
+        cfg = elekes_config(N)
+        assert (canonical_outcome(canonicalize_config, cfg, seed, budget)
+                == canonical_outcome(canonicalize_oracle, cfg, seed, budget))
+
+    def test_parallel_attempts_are_not_built(self, monkeypatch):
+        # at this seed 27 of the 28 attempts that pass the vertical-line test
+        # make two lines parallel; only the accepted one is built and checked
+        checked = []
+        record = lambda cfg: checked.append(cfg) or check_constraints(cfg)
+        monkeypatch.setattr(constructions, "check_constraints", record)
+        can = canonicalize_config(elekes_config(4), seed=42004)
+        assert checked == [can]
+        assert sha256(config_to_json(can)) == CANONICAL_SHA256[4, 42004]
 
 
 class TestAssemble:
