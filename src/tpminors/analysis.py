@@ -18,7 +18,6 @@ from typing import Optional
 
 from .constructions import (
     CanonicalizationError,
-    Point2,
     assemble_tp_2xn,
     canonicalize_config,
     elekes_config,
@@ -33,7 +32,14 @@ from .counting import (
 )
 from .exact import rat
 
-FAMILIES = ("elekes-2xn", "grid", "power-sum", "random-points")
+# the scan families, each with the exponent of its theoretical bound
+_BOUND_SLOPES = {
+    "elekes-2xn": 4.0 / 3.0,
+    "grid": 2.0,
+    "power-sum": 2.0,
+    "random-points": 4.0 / 3.0,
+}
+FAMILIES = tuple(_BOUND_SLOPES)
 
 
 @dataclass(frozen=True)
@@ -107,17 +113,9 @@ def _measure(cfg: RunConfig, size: int):
         rng = random.Random(cfg.seed * 100003 + size)
         g = max(2, math.isqrt(4 * size) + 1)
         cells = [(x, y) for x in range(1, g + 1) for y in range(1, g + 1)]
-        pts = [Point2(x, y) for x, y in rng.sample(cells, size)]
+        pts = rng.sample(cells, size)
         return size, unit_rectangles(pts, cfg.area, mode=cfg.mode), ()
     raise AssertionError(cfg.family)
-
-
-_BOUND_SLOPES = {
-    "elekes-2xn": 4.0 / 3.0,
-    "grid": 2.0,
-    "power-sum": 2.0,
-    "random-points": 4.0 / 3.0,
-}
 
 
 def scan_exponent(cfg: RunConfig) -> ScanReport:

@@ -122,7 +122,6 @@ def cmd_mu(args):
     if "A" in doc and "B" in doc:
         A, B = constructions.json_array(doc["A"], "A"), constructions.json_array(doc["B"], "B")
         constructions.check_rationals(A + B)
-        A, B = counting.as_multiset(A), counting.as_multiset(B)
         result = counting.mu(
             counting.multiset_prod(counting.multiset_diff(A, A), counting.multiset_diff(B, B))
         )

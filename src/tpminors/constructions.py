@@ -250,7 +250,7 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
     rng = random.Random(seed)
     point_vecs, _ = clear_denominators((p.x, p.y, 1) for p in cfg.points)
     line_vecs, _ = clear_denominators((-l.m, 1, -l.c) for l in cfg.lines)
-    last_report = last_imgs = None
+    last = None  # the integer images of the last attempt past the vertical-line test
     for _ in range(budget):
         M = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
         if det_int3(M) == 0:
@@ -268,24 +268,20 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
                      for v in line_vecs]
         if any(B == 0 for _, B, _ in line_imgs):
             continue
+        last = imgs, line_imgs
         # parallel lines (constraint 1) stay parallel under the shear and
         # translation: equal slopes -A/B, keyed by (A, B) reduced with B > 0
         slopes = {(A // g, B // g) for A, B, _ in line_imgs
                   for g in [gcd(A, B) if B > 0 else -gcd(A, B)]}
         if len(slopes) < len(line_imgs):
-            last_report, last_imgs = None, (imgs, line_imgs)
             continue
         candidate = _place(imgs, line_imgs)
-        last_report = check_constraints(candidate)
-        if last_report.ok:
+        if check_constraints(candidate).ok:
             return candidate
-    if last_report is None and last_imgs is not None:
-        # the last attempt was rejected before it was built: report it in full
-        last_report = check_constraints(_place(*last_imgs))
     raise CanonicalizationError(
         "canonicalization failed after %d attempts" % budget,
         config=cfg,
-        last_report=last_report,
+        last_report=None if last is None else check_constraints(_place(*last)),
     )
 
 
@@ -359,16 +355,14 @@ def power_sum_det_closed_form(a, b, k) -> Fraction:
 
 
 def grid_matrix(n: int) -> RatMatrix:
-    """The n x n TP_2 grid matrix A_{i,j} = (n-i+1) + j.
+    """The n x n TP_2 grid matrix A_{i,j} = (n-i+1) + j, the k = 2 power-sum matrix.
 
     Rows are ordered so the row offsets decrease; the 2x2 minor on rows i<j,
     cols k<l equals (l-k)(j-i), the area of the matching grid rectangle.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    return RatMatrix(
-        [[Fraction((n - i + 1) + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
+    return power_sum_matrix(range(1, n + 1), range(n, 0, -1), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def point_line_incidences(cfg: IncidenceConfig, return_pairs: bool = False):
     count = 0
     for li, l in enumerate(cfg.lines):
         for pi, p in enumerate(cfg.points):
-            if p.y == l.m * p.x + l.c:
+            if l.contains(p):
                 count += 1
                 if return_pairs:
                     pairs.append((pi, li))
@@ -258,30 +258,29 @@ def multiset_mass(C: Counter) -> int:
     return sum(C.values())
 
 
-def multiset_diff(C, D) -> Counter:
-    """C - D with convolved multiplicities m(s) = sum m(c) m(d) over c-d=s;
-    the keys are convolved as integers over one common denominator."""
+def _convolve(C, D, op) -> Counter:
+    """op(C, D) with convolved multiplicities m(s) = sum m(c) m(d) over
+    op(c, d) = s; the keys are convolved as integers over one common
+    denominator L, so a difference is over L and a product over L^2."""
     C, D = as_multiset(C), as_multiset(D)
     (keys,), (L,) = clear_denominators([list(C) + list(D)])
     right = list(zip(keys[len(C):], D.values()))
     out = Counter()
     for a, mc in zip(keys, C.values()):
         for b, md in right:
-            out[a - b] += mc * md
-    return Counter({Fraction(v, L): m for v, m in out.items()})
+            out[op(a, b)] += mc * md
+    scale = L * L if op is operator.mul else L
+    return Counter({Fraction(v, scale): m for v, m in out.items()})
+
+
+def multiset_diff(C, D) -> Counter:
+    """C - D with convolved multiplicities m(s) = sum m(c) m(d) over c-d=s."""
+    return _convolve(C, D, operator.sub)
 
 
 def multiset_prod(C, D) -> Counter:
-    """C * D with convolved multiplicities m(s) = sum m(c) m(d) over c*d=s;
-    the keys are convolved as integers, each multiset over its own denominator."""
-    C, D = as_multiset(C), as_multiset(D)
-    (cs, ds), (Lc, Ld) = clear_denominators([list(C), list(D)])
-    right = list(zip(ds, D.values()))
-    out = Counter()
-    for a, mc in zip(cs, C.values()):
-        for b, md in right:
-            out[a * b] += mc * md
-    return Counter({Fraction(v, Lc * Ld): m for v, m in out.items()})
+    """C * D with convolved multiplicities m(s) = sum m(c) m(d) over c*d=s."""
+    return _convolve(C, D, operator.mul)
 
 
 def mu(C) -> int:

@@ -225,7 +225,7 @@ def minor(A: RatMatrix, I, J) -> Fraction:
     J = check_index_tuple(J, A.cols, "column tuple")
     if len(I) != len(J):
         raise ValueError("row and column tuples must have equal size: %r vs %r" % (I, J))
-    return det(A.submatrix(I, J))
+    return det(A._select(I, J))
 
 
 # ---------------------------------------------------------------------------

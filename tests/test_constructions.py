@@ -243,6 +243,7 @@ class TestCanonicalize:
         with pytest.raises(CanonicalizationError) as err:
             canonicalize_config(elekes_config(2), seed=0, budget=0)
         assert err.value.config is not None
+        assert err.value.last_report is None  # no attempt reached the vertical-line test
 
 
 # SHA-256 of config_to_json(canonicalize_config(elekes_config(N), seed)).
