@@ -15,7 +15,8 @@ rather than with the program, and are normalized before hashing (``pinned``):
 the floats of a scan's fit, since float ``sum`` is compensated from
 Python 3.12 on, are rounded to 12 significant digits; and of an argparse
 usage error, whose usage lines wrap differently from Python 3.13 on, only
-the error line is kept.
+the error line is kept, which also makes the hash independent of the
+terminal width.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import re
 import sys
@@ -259,23 +259,14 @@ INVOCATIONS = [(" ".join(argv), argv) for argv in _invocations()]
 
 
 def run(argv, paths):
-    """(exit code, stdout, stderr) of one in-process CLI invocation.  Usage
-    messages are wrapped at a fixed width, whatever the terminal is."""
+    """(exit code, stdout, stderr) of one in-process CLI invocation."""
     argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:  # argparse usage errors
-                code = e.code
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 

@@ -23,5 +23,4 @@ def test_table_pins_the_corpus():
                          ids=[name for name, _ in cli_corpus.INVOCATIONS])
 def test_invocation(paths, name, argv):
     result = cli_corpus.run(argv, paths)
-    assert result[0] in (0, 1, 2)
     assert cli_corpus.digest(argv, result) == TABLE[name], result
