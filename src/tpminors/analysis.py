@@ -83,10 +83,12 @@ def fit_power_law(sizes, counts):
     xs = [math.log(s) for s in sizes]
     ys = [math.log(c) for c in counts]
     n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    # fsum is correctly rounded, so the fit depends neither on the order of the
+    # rows nor on the Python version (built-in sum is compensated from 3.12 on)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return slope, my - slope * mx
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import analysis, constructions, counting, exact
@@ -237,8 +238,27 @@ def build_parser():
     return p
 
 
+# the flags that take one rational; argparse reads a negative p/q such as
+# -1/2 as an option (it takes only -N and -N.N for numbers), so main joins
+# such a value to its flag or to an abbreviation of it, as in --value=-1/2
+_RATIONAL_FLAGS = ("--value", "--area", "--constant")
+
+
+def _join_signed_values(argv):
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (len(flag) > 2 and any(f.startswith(flag) for f in _RATIONAL_FLAGS)
+                and re.match("-[0-9]", token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     # JSONDecodeError is a ValueError, so it is caught first

@@ -252,13 +252,16 @@ def _first_nonpositive(A: RatMatrix, orders, subsets=combinations) -> TpVerdict:
 def verify_tp(A: RatMatrix, max_order=None) -> TpVerdict:
     """Exhaustively check that all minors of orders 1..max_order are positive.
 
-    max_order defaults to min(rows, cols) (full TP).  Returns the first
-    non-positive minor (deterministic lexicographic scan) as witness.
+    max_order defaults to min(rows, cols) (full TP), and may not exceed it.
+    Returns the first non-positive minor (deterministic lexicographic scan) as
+    witness.
     """
     if max_order is None:
         max_order = min(A.rows, A.cols)
     if max_order < 1:
         raise ValueError("max_order must be >= 1, got %d" % max_order)
+    if max_order > min(A.rows, A.cols):
+        raise ValueError("order %d exceeds matrix dimensions %dx%d" % (max_order, A.rows, A.cols))
     return _first_nonpositive(A, range(1, max_order + 1))
 
 

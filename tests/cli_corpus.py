@@ -10,12 +10,13 @@ table with
 
 and name in CHANGES.md the invocations whose hash changed, and why.  The
 module needs no test dependency, so the table can be checked on any Python
-the package supports.  Two parts of an output vary with the Python version
+the package supports.  Two parts of an output may vary with the platform
 rather than with the program, and are normalized before hashing (``pinned``):
-the floats of a scan's fit, since float ``sum`` is compensated from
-Python 3.12 on, are rounded to 12 significant digits; and of an argparse
-usage error, whose usage lines wrap differently from Python 3.13 on, only
-the error line is kept, which also makes the hash independent of the
+the floats of a scan's fit are rounded to 12 significant digits, since
+``math.log`` may differ in its last bits between C libraries (the fit sums
+with ``math.fsum``, so the Python version does not change it); and of an
+argparse usage error, whose usage lines wrap differently from Python 3.13 on,
+only the error line is kept, which also makes the hash independent of the
 terminal width.
 """
 

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tpminors import RunConfig, fit_power_law, grid_area_k_count, scan_exponent, st_bound_check
 from tpminors.analysis import report_to_csv, report_to_json
@@ -19,6 +20,16 @@ class TestFit:
     def test_constant_series_slope_zero(self):
         slope, _ = fit_power_law([3, 9, 27, 81], [7, 7, 7, 7])
         assert abs(slope) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)),
+                    min_size=3, max_size=12, unique_by=lambda row: row[0]))
+    @example(list(zip((22, 134, 217, 250, 263, 390),
+                      (424605, 962839, 821873, 870164, 318047, 499749))))
+    def test_row_order_leaves_fit_bit_identical(self, rows):
+        fit = fit_power_law(*zip(*rows))
+        reversed_fit = fit_power_law(*zip(*rows[::-1]))
+        assert [v.hex() for v in reversed_fit] == [v.hex() for v in fit]
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):

@@ -215,6 +215,14 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("order", ["3", "5"])
+    def test_order_above_dimensions_is_failure(self, tmp_path, capsys, order):
+        mat = tmp_path / "m.txt"
+        mat.write_text("2 3\n1 2 3\n1 3 5\n")
+        code, out, err = run(capsys, "verify", "--order", order, "--input", str(mat))
+        assert (code, out) == (1, "")
+        assert err == "error: order %s exceeds matrix dimensions 2x3\n" % order
+
     def test_unknown_contiguous_flag_exits_two(self, tmp_path):
         mat = tmp_path / "m.txt"
         mat.write_text("2 2\n1 2\n1 3\n")
@@ -451,6 +459,22 @@ class TestRationalInputs:
     def test_check_st_constant(self, capsys):
         self.rejected(capsys, "2.5", "check-st", "--m", "1", "--n", "1",
                       "--incidences", "1", "--constant", "2.5")
+
+    def test_negative_value_either_spelling(self, tmp_path, capsys):
+        mat = tmp_path / "m.txt"
+        mat.write_text("2 3\n-1/2 1 -2/4\n2 -1/2 3\n")
+        counts = [run(capsys, "count-equal", "--order", "1", *value, "--input", str(mat))
+                  for value in (["--value", "-1/2"], ["--value=-1/2"], ["--val", "-1/2"])]
+        assert counts == [(0, "3\n", "")] * 3
+
+    def test_negative_area_is_read(self, tmp_path, capsys):
+        pts = self.json_file(tmp_path, {"points": [["1", "2"], ["2", "3"]]})
+        assert run(capsys, "rects", "--area", "-1/2", "--input", pts) == \
+            (1, "", "error: area must be positive\n")
+
+    def test_negative_constant_is_read(self, capsys):
+        assert run(capsys, "check-st", "--m", "1", "--n", "1", "--incidences", "1",
+                   "--constant", "-5/2") == (1, "", "error: constant must be positive\n")
 
     def test_power_sum_lists(self, capsys):
         self.rejected(capsys, "1.5", "construct", "power-sum",

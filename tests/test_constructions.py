@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tpminors import (
     CanonicalizationError,
+    Hyperplane,
     IncidenceConfig,
     Line2,
     Point2,
@@ -528,6 +529,14 @@ class TestHyperplaneFamily:
         with pytest.raises(ValueError):
             hyperplane_family(A, 1)
 
+    def test_one_row_family_is_the_level(self):
+        # d = 1: no cofactor, the one member is x_1 = t, met by the entries equal to t
+        A = RatMatrix([[2, 5, F(1, 2), 5]])
+        fam = hyperplane_family(A, 5)
+        assert fam == [((), Hyperplane((1,), 5))]
+        pts = [A.column(j) for j in range(1, A.cols + 1)]
+        assert sum(map(fam[0][1].contains, pts)) == count_minors_equal(A, 1, 5) == 2
+
     def test_family_is_Kd2_free(self):
         A = power_sum_matrix(range(1, 9), (3, 2, 1), 3)
         fam = hyperplane_family(A, 1)
@@ -596,3 +605,21 @@ class TestConfigJson:
     def test_config_line_fields_required(self, text, field):
         with pytest.raises(ValueError, match=re.escape("each line has no %r field" % field)):
             config_from_json(text)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Hyperplane((0, F(0)), 1), "hyperplane coefficients must not all be zero"),
+    (lambda: Hyperplane((1, 2), 1).contains((1,)), "point dimension 1 != 2"),
+    (lambda: IncidenceConfig((Point2(1, 2), Point2(F(2, 2), 2)), ()), "points must be distinct"),
+    (lambda: IncidenceConfig((), (Line2(1, 0), Line2(1, 0))), "lines must be distinct"),
+    (lambda: power_sum_matrix((1,), (2, 1), 2), "need at least two a's and two b's"),
+    (lambda: power_sum_matrix((1, 2), (1,), 2), "need at least two a's and two b's"),
+    (lambda: power_sum_matrix((1, 1), (2, 1), 2), "a must be strictly increasing"),
+    (lambda: power_sum_matrix((1, 2, 2), (2, 1), 2), "a must be strictly increasing"),
+    (lambda: power_sum_matrix((1, 2), (2, 2), 2), "b must be strictly decreasing"),
+    (lambda: power_sum_matrix((1, 2), (3, 2, 2), 2), "b must be strictly decreasing"),
+    (lambda: hyperplane_family(RatMatrix([[1], [2], [3]]), 1), "need at least d-1 columns"),
+])
+def test_boundary_checks(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
@@ -624,3 +625,18 @@ class TestMultisets:
         C, D = Counter(C), Counter(D)
         assert multiset_mass(multiset_prod(C, D)) == multiset_mass(C) * multiset_mass(D)
         assert multiset_mass(multiset_diff(C, D)) == multiset_mass(C) * multiset_mass(D)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: point_hyperplane_incidences([(1, 2)], [Hyperplane((1, 1), 3)], []),
+     "restriction list must align with planes"),
+    (lambda: unit_rectangles([(1, 2), (2, 3)], 1, mode="anti-diagonal"),
+     "unknown mode 'anti-diagonal'"),
+    (lambda: divisor_count(0), "k must be >= 1"),
+    (lambda: best_k(1), "n must be >= 2"),
+    (lambda: grid_area_k_count(1, 1), "n must be >= 2"),
+    (lambda: grid_area_k_count(4, 0), "k must be >= 1"),
+])
+def test_boundary_checks(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

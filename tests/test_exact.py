@@ -194,6 +194,12 @@ class TestVerifyTp:
         with pytest.raises(ValueError):
             verify_tp(RatMatrix([[-1, 2], [3, -4]]), max_order=order)
 
+    def test_max_order_above_dimensions_rejected(self):
+        # rejected before the scan, although the order-1 minor at (1, 1) fails
+        with pytest.raises(ValueError, match=re.escape("order 3 exceeds matrix dimensions 2x4")):
+            verify_tp(RatMatrix([[-1, 2, 3, 4], [1, 3, 5, 7]]), max_order=3)
+        assert verify_tp(RatMatrix([[1, 2, 3, 4], [1, 3, 5, 7]]), max_order=2).ok
+
     def test_ok_implies_sampled_minors_positive(self):
         # the k=2 power-sum matrix is TP_2; spot-check individual 2x2 minors
         A = power_sum_matrix(range(1, 6), range(5, 0, -1), 2)
@@ -405,3 +411,26 @@ class TestRatParser:
     def test_rejected(self, token):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
             rat(token)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: minor(RatMatrix([[1, 2], [3, 4]]), (2, 1), (1, 2)),
+     "row tuple must be strictly increasing: (2, 1)"),
+    (lambda: minor(RatMatrix([[1, 2], [3, 4]]), (1, 2), (2, 2)),
+     "column tuple must be strictly increasing: (2, 2)"),
+    (lambda: RatMatrix([]), "matrix must have at least one row and one column"),
+    (lambda: RatMatrix([[]]), "matrix must have at least one row and one column"),
+    (lambda: RatMatrix([[1, 2], [3]]), "ragged rows"),
+    (lambda: RatMatrix([[1, 2]]).entry(2, 1), "entry (2,1) out of range"),
+    (lambda: RatMatrix([[1, 2]]).entry(1, 0), "entry (1,0) out of range"),
+    (lambda: RatMatrix([[1, 2]]).column(3), "column 3 out of range"),
+    (lambda: RatMatrix([[1, 2]]).scale_row(2, 5), "row 2 out of range"),
+    (lambda: scale_to_unit(RatMatrix([[1, 2], [1, 3], [1, 4]]), (1, 2), (1, 2)),
+     "designated minor must be full height (|I0| = rows)"),
+    (lambda: matrix_from_text(" \n\n"), "empty matrix text"),
+    (lambda: matrix_from_text("2 2\n1 2\n"), "expected 2 data rows, got 1"),
+    (lambda: matrix_from_text("1 2\n1 2\n3 4\n"), "expected 1 data rows, got 2"),
+])
+def test_boundary_checks(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
