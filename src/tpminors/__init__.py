@@ -23,7 +23,6 @@ from .constructions import (
     assemble_tp_2xn,
     canonicalize_config,
     check_constraints,
-    config_from_json,
     config_to_json,
     dual_line,
     elekes_config,
@@ -44,7 +43,6 @@ from .counting import (
     mu,
     mu_nonzero,
     multiset_diff,
-    multiset_mass,
     multiset_prod,
     point_hyperplane_incidences,
     point_line_incidences,

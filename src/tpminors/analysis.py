@@ -21,10 +21,10 @@ from .constructions import (
     assemble_tp_2xn,
     canonicalize_config,
     elekes_config,
-    grid_matrix,
     power_sum_matrix,
 )
 from .counting import (
+    RECTANGLE_MODES,
     count_minors_equal,
     grid_area_k_count,
     max_repeated_minor,
@@ -69,11 +69,16 @@ class RunConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError("unknown family %r (choose from %r)" % (self.family, FAMILIES))
+        if self.mode not in RECTANGLE_MODES:
+            raise ValueError("unknown mode %r" % (self.mode,))
+        area = rat(self.area)
+        if area <= 0:
+            raise ValueError("area must be positive")
         sizes = tuple(map(operator.index, self.sizes))  # a float size is a TypeError
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "area", rat(self.area))
+        object.__setattr__(self, "area", area)
 
 
 def fit_power_law(sizes, counts):

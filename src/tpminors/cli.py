@@ -113,7 +113,7 @@ def cmd_count_equal(args):
 
 def cmd_rects(args):
     pts = constructions.points_from_json(_read_input(args.input))
-    n = counting.unit_rectangles(pts, exact.rat(args.area), mode=args.mode)
+    n = counting.unit_rectangles(pts, args.area, mode=args.mode)
     _write_output(args.out, "%d\n" % n)
     return 0
 
@@ -143,8 +143,6 @@ def cmd_scan(args):
     if rect and args.family != "random-points":
         flags = " or ".join("--" + k for k in rect)
         raise ValueError("--family %s takes no %s" % (args.family, flags))
-    if "area" in rect:
-        rect["area"] = exact.rat(args.area)
     cfg = analysis.RunConfig(family=args.family, sizes=sizes, seed=args.seed, **rect)
     report = analysis.scan_exponent(cfg)
     if report.fitted_slope is None:
@@ -213,7 +211,7 @@ def build_parser():
     r = add_parser("rects", help="axis-parallel rectangle count for a point set")
     r.add_argument("--input", default=None)
     r.add_argument("--area", default="1")
-    r.add_argument("--mode", choices=("diagonal", "both-diagonals"), default="diagonal")
+    r.add_argument("--mode", choices=counting.RECTANGLE_MODES, default="diagonal")
     r.set_defaults(func=cmd_rects)
 
     m = add_parser("mu", help="maximum multiplicity of a multiset expression")
@@ -223,7 +221,7 @@ def build_parser():
     s = add_parser("scan", help="size scan with log-log exponent fit")
     s.add_argument("--family", choices=analysis.FAMILIES, required=True)
     s.add_argument("--sizes", required=True, help="comma-separated increasing sizes")
-    s.add_argument("--mode", choices=("diagonal", "both-diagonals"),
+    s.add_argument("--mode", choices=counting.RECTANGLE_MODES,
                    help="random-points only (default diagonal)")
     s.add_argument("--area", help="random-points only (default 1)")
     s.set_defaults(func=cmd_scan)

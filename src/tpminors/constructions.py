@@ -245,8 +245,6 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
     given (cfg, seed); raises after ``budget`` attempts, with the report of
     the last attempt that got past the vertical-line test.
     """
-    if len(set(cfg.points)) != len(cfg.points):
-        raise ValueError("points must be distinct")
     rng = random.Random(seed)
     point_vecs, _ = clear_denominators((p.x, p.y, 1) for p in cfg.points)
     line_vecs, _ = clear_denominators((-l.m, 1, -l.c) for l in cfg.lines)
@@ -399,16 +397,14 @@ def hyperplane_family(A: RatMatrix, t) -> list:
                 "columns %r are dependent; matrix is not TP" % (I,)
             )
         out.append((I, Hyperplane(tuple(coeffs), t)))
-    # distinctness: no two members proportional (including offsets)
+    # every member has offset t != 0, so proportional members have equal coefficients
     seen = {}
     for I, h in out:
-        lead = next(c for c in h.coeffs if c != 0)
-        key = tuple(c / lead for c in h.coeffs) + (h.offset / lead,)
-        if key in seen:
+        if h.coeffs in seen:
             raise ValueError(
-                "hyperplanes for %r and %r are proportional" % (seen[key], I)
+                "hyperplanes for %r and %r are proportional" % (seen[h.coeffs], I)
             )
-        seen[key] = I
+        seen[h.coeffs] = I
     return out
 
 
@@ -433,16 +429,6 @@ def json_array(value, name, length=None):
     return value
 
 
-def json_object(value, name, fields=()):
-    """``value`` if it is a JSON object with every key in ``fields``, else a ValueError."""
-    if not isinstance(value, dict):
-        raise ValueError("%s must be a JSON object, got %s" % (name, json.dumps(value)))
-    missing = [f for f in fields if f not in value]
-    if missing:
-        raise ValueError("%s has no %r field: %s" % (name, missing[0], json.dumps(value)))
-    return value
-
-
 def check_rationals(items):
     """A ValueError naming the first of the JSON ``items`` that is not an
     integer or a string, the forms rat reads (true, null, an array, an object)."""
@@ -454,23 +440,14 @@ def check_rationals(items):
 def load_json(text, name):
     """The JSON object in ``text``.  A number that is not an integer (1.5, 1e3,
     NaN, Infinity) stays the string it was written as, so rat rejects it by name."""
-    return json_object(json.loads(text, parse_float=str, parse_constant=str), name)
-
-
-def _points(points):
-    points = [json_array(p, "each point", 2) for p in json_array(points, "points")]
-    check_rationals(v for p in points for v in p)
-    return [Point2(x, y) for x, y in points]
-
-
-def config_from_json(text: str) -> IncidenceConfig:
-    doc = load_json(text, "the configuration")
-    lines = json_array(doc.get("lines", []), "lines")
-    lines = [json_object(l, "each line", ("m", "c")) for l in lines]
-    check_rationals(v for l in lines for v in (l["m"], l["c"]))
-    return IncidenceConfig(tuple(_points(doc.get("points", []))),
-                           tuple(Line2(l["m"], l["c"]) for l in lines))
+    doc = json.loads(text, parse_float=str, parse_constant=str)
+    if not isinstance(doc, dict):
+        raise ValueError("%s must be a JSON object, got %s" % (name, json.dumps(doc)))
+    return doc
 
 
 def points_from_json(text: str):
-    return _points(load_json(text, "the point set").get("points"))
+    points = load_json(text, "the point set").get("points")
+    points = [json_array(p, "each point", 2) for p in json_array(points, "points")]
+    check_rationals(v for p in points for v in p)
+    return [Point2(x, y) for x, y in points]

@@ -96,17 +96,9 @@ def max_repeated_minor(A: RatMatrix, k: int):
 # incidences
 
 
-def point_line_incidences(cfg: IncidenceConfig, return_pairs: bool = False):
+def point_line_incidences(cfg: IncidenceConfig) -> int:
     """Exact I(P, L) by per-line membership tests."""
-    pairs = []
-    count = 0
-    for li, l in enumerate(cfg.lines):
-        for pi, p in enumerate(cfg.points):
-            if l.contains(p):
-                count += 1
-                if return_pairs:
-                    pairs.append((pi, li))
-    return (count, pairs) if return_pairs else count
+    return sum(l.contains(p) for l in cfg.lines for p in cfg.points)
 
 
 def point_hyperplane_incidences(points, planes, ordered_restriction=None) -> int:
@@ -145,6 +137,8 @@ def verify_no_Kd2(points, planes):
 # ---------------------------------------------------------------------------
 # rectangles and the grid closed form
 
+RECTANGLE_MODES = ("diagonal", "both-diagonals")
+
 
 def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     """Count axis-parallel rectangles of the given area spanned by point pairs.
@@ -158,7 +152,7 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     looked up as y + T/dx (anti-diagonals: y - T/dx) in x2.  Cost: the column
     pairs at most T apart, plus those lookups; no pair of points is visited.
     """
-    if mode not in ("diagonal", "both-diagonals"):
+    if mode not in RECTANGLE_MODES:
         raise ValueError("unknown mode %r" % (mode,))
     area = rat(area)
     if area <= 0:
@@ -252,10 +246,6 @@ def as_multiset(values) -> Counter:
     if isinstance(values, Counter):
         return Counter({rat(v): int(m) for v, m in values.items() if m})
     return Counter(rat(v) for v in values)
-
-
-def multiset_mass(C: Counter) -> int:
-    return sum(C.values())
 
 
 def _convolve(C, D, op) -> Counter:

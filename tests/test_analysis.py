@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -104,6 +105,15 @@ class TestScan:
             RunConfig("nope", (1, 2, 3))
         with pytest.raises(ValueError):
             scan_exponent(RunConfig("grid", (10, 20)))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "bogus"}, "unknown mode 'bogus'"),
+        ({"area": 0}, "area must be positive"),
+        ({"area": "-1/2"}, "area must be positive"),
+    ])
+    def test_rectangle_options_checked_when_stored(self, kwargs, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            RunConfig("random-points", (10, 20, 40), **kwargs)
 
     @pytest.mark.parametrize("sizes", [(4.7, 6, 8), (4, 6.0, 8), ("4", 6, 8)])
     def test_non_integer_size_rejected(self, sizes):

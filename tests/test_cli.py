@@ -346,6 +346,12 @@ class TestScanAndSt:
         code, both, _ = run(capsys, *argv, "--area", "2", "--mode", "both-diagonals")
         assert code == 0 and both != default
 
+    @pytest.mark.parametrize("area", ["0", "-1/2"])
+    def test_nonpositive_area_rejected(self, capsys, area):
+        # rejected before the first size, so no partial scan is printed
+        assert run(capsys, "scan", "--family", "random-points", "--sizes", "10,20,40",
+                   "--area", area) == (1, "", "error: area must be positive\n")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_fit_warns(self, capsys, fmt):
         code, out, err = run(capsys, "--format", fmt, "scan", "--family", "random-points",

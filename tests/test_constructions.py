@@ -17,7 +17,6 @@ from tpminors import (
     assemble_tp_2xn,
     canonicalize_config,
     check_constraints,
-    config_from_json,
     config_to_json,
     count_minors_equal,
     det,
@@ -38,7 +37,7 @@ from tpminors import (
 from tpminors import constructions
 from tpminors.exact import clear_denominators, det_int
 
-from test_counting import fraction_census
+from test_counting import fraction_census, incidence_pairs
 
 
 def det2(p, q):
@@ -219,8 +218,7 @@ class TestCanonicalize:
     def test_preserves_incidence_pairs(self, N, seed):
         cfg = elekes_config(N)
         can = canonicalize_config(cfg, seed=seed)
-        assert (point_line_incidences(can, return_pairs=True)[1]
-                == point_line_incidences(cfg, return_pairs=True)[1])
+        assert incidence_pairs(can) == incidence_pairs(cfg)
 
     def test_deterministic_given_seed(self):
         a = canonicalize_config(elekes_config(2), seed=9)
@@ -537,6 +535,14 @@ class TestHyperplaneFamily:
         pts = [A.column(j) for j in range(1, A.cols + 1)]
         assert sum(map(fam[0][1].contains, pts)) == count_minors_equal(A, 1, 5) == 2
 
+    def test_proportional_members_rejected(self):
+        # equal columns give equal cofactors, so two members coincide
+        with pytest.raises(ValueError, match=re.escape("hyperplanes for (1,) and (2,) are proportional")):
+            hyperplane_family(RatMatrix([[1, 1], [2, 2]]), 1)
+        # parallel columns give parallel members, which at one level t != 0 are distinct
+        fam = hyperplane_family(RatMatrix([[1, 2], [2, 4]]), 1)
+        assert [h.coeffs for _, h in fam] == [(F(-2), F(1)), (F(-4), F(2))]
+
     def test_family_is_Kd2_free(self):
         A = power_sum_matrix(range(1, 9), (3, 2, 1), 3)
         fam = hyperplane_family(A, 1)
@@ -546,27 +552,26 @@ class TestHyperplaneFamily:
 
 
 class TestConfigJson:
+    """points_from_json reads the points of a configuration document too, as
+    ``construct elekes`` writes it; the lines are not read."""
+
     def test_round_trip(self):
         cfg = elekes_config(2)
-        assert config_from_json(config_to_json(cfg)) == cfg
+        assert points_from_json(config_to_json(cfg)) == list(cfg.points)
 
     def test_fraction_coordinates(self):
         cfg = IncidenceConfig((Point2(F(1, 3), F(2, 7)),), (Line2(F(5, 2), F(1, 9)),))
-        assert config_from_json(config_to_json(cfg)) == cfg
+        assert points_from_json(config_to_json(cfg)) == list(cfg.points)
 
     @pytest.mark.parametrize("text, token", [
         ('{"points": [["1.5", "2"]], "lines": []}', "1.5"),
         ('{"points": [[1, 2.5]], "lines": []}', "2.5"),
-        ('{"points": [], "lines": [{"m": 1e3, "c": "1"}]}', "1e3"),
         ('{"points": [[NaN, 1]], "lines": []}', "NaN"),
-        ('{"points": [], "lines": [{"m": "1", "c": -Infinity}]}', "-Infinity"),
         ('{"points": [[true, 1]], "lines": []}', "true"),
-        ('{"points": [], "lines": [{"m": null, "c": "1"}]}', "null"),
-        ('{"points": [], "lines": [{"m": "1", "c": [2]}]}', "[2]"),
     ])
     def test_config_decimal_rejected(self, text, token):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
-            config_from_json(text)
+            points_from_json(text)
 
     @pytest.mark.parametrize("text, token", [
         ('{"points": [["1.5", "2"]]}', "1.5"),
@@ -574,6 +579,10 @@ class TestConfigJson:
         ('{"points": [[1, Infinity]]}', "Infinity"),
         ('{"points": [[false, 1]]}', "false"),
         ('{"points": [[1, {}]]}', "{}"),
+        ('{"points": [[1e3, 1]]}', "1e3"),
+        ('{"points": [["1", -Infinity]]}', "-Infinity"),
+        ('{"points": [[null, "1"]]}', "null"),
+        ('{"points": [["1", [2]]]}', "[2]"),
     ])
     def test_points_decimal_rejected(self, text, token):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
@@ -586,25 +595,12 @@ class TestConfigJson:
     ])
     def test_config_points_must_be_pairs(self, text):
         with pytest.raises(ValueError, match="points? must be a"):
-            config_from_json(text)
+            points_from_json(text)
 
-    @pytest.mark.parametrize("text, message", [
-        ('{"points": [], "lines": "ab"}', 'lines must be a JSON array, got "ab"'),
-        ('{"points": [], "lines": [["1", "2"]]}', "each line must be a JSON object"),
-        ('[{"m": "1", "c": "2"}]', "the configuration must be a JSON object"),
-    ])
-    def test_config_objects_required(self, text, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            config_from_json(text)
-
-    @pytest.mark.parametrize("text, field", [
-        ('{"lines": [{"m": "1"}]}', "c"),
-        ('{"points": [], "lines": [{"m": "1", "c": "2"}, {"c": "2"}]}', "m"),
-        ('{"lines": [{}]}', "m"),
-    ])
-    def test_config_line_fields_required(self, text, field):
-        with pytest.raises(ValueError, match=re.escape("each line has no %r field" % field)):
-            config_from_json(text)
+    def test_point_set_must_be_an_object(self):
+        with pytest.raises(ValueError, match=re.escape(
+                'the point set must be a JSON object, got [{"m": "1", "c": "2"}]')):
+            points_from_json('[{"m": "1", "c": "2"}]')
 
 
 @pytest.mark.parametrize("call, message", [
