@@ -537,7 +537,8 @@ class TestHyperplaneFamily:
 
     def test_proportional_members_rejected(self):
         # equal columns give equal cofactors, so two members coincide
-        with pytest.raises(ValueError, match=re.escape("hyperplanes for (1,) and (2,) are proportional")):
+        message = "hyperplanes for (1,) and (2,) are proportional"
+        with pytest.raises(ValueError, match=re.escape(message)):
             hyperplane_family(RatMatrix([[1, 1], [2, 2]]), 1)
         # parallel columns give parallel members, which at one level t != 0 are distinct
         fam = hyperplane_family(RatMatrix([[1, 2], [2, 4]]), 1)
