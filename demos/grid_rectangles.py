@@ -9,7 +9,6 @@ most repeated minor is driven by the divisor function.
 """
 
 from tpminors import (
-    Point2,
     best_k,
     divisor_count,
     grid_area_k_count,
@@ -25,7 +24,7 @@ G = grid_matrix(n)
 print("grid matrix n=%d, TP_2: %s" % (n, verify_tp(G, 2).ok))
 
 counts, D = minor_census(G, 2)  # the census of x/D: integer entries give D = 1
-pts = [Point2(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+pts = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
 print("value  census  rectangles  closed-form")
 for k in sorted(counts)[:10]:
     print("%5d  %6d  %10d  %11d"

@@ -155,10 +155,10 @@ def st_bound_check(m: int, n: int, I: int, constant) -> bool:
     Rearranged to (I/constant - m - n)^3 <= (m n)^2 so the fractional powers
     disappear and the comparison is pure rational arithmetic.
     """
+    c = rat(constant)
     m, n, I = operator.index(m), operator.index(n), operator.index(I)
     if m < 0 or n < 0 or I < 0:
         raise ValueError("m, n, I must be nonnegative")
-    c = rat(constant)
     if c <= 0:
         raise ValueError("constant must be positive")
     lhs = Fraction(I) / c - m - n

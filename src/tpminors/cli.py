@@ -33,7 +33,7 @@ def _write_output(path, text):
 
 
 def _frac_list(s):
-    return [exact.rat(x.strip()) for x in s.split(",") if x.strip()]
+    return [x.strip() for x in s.split(",") if x.strip()]
 
 
 # the flags each construct target reads, beside --seed, --out and --format
@@ -105,9 +105,8 @@ def cmd_census(args):
 
 
 def cmd_count_equal(args):
-    value = exact.rat(args.value)
     A = exact.matrix_from_text(_read_input(args.input))
-    _write_output(args.out, "%d\n" % counting.count_minors_equal(A, args.order, value))
+    _write_output(args.out, "%d\n" % counting.count_minors_equal(A, args.order, args.value))
     return 0
 
 
@@ -156,7 +155,7 @@ def cmd_scan(args):
 
 
 def cmd_check_st(args):
-    ok = analysis.st_bound_check(args.m, args.n, args.incidences, exact.rat(args.constant))
+    ok = analysis.st_bound_check(args.m, args.n, args.incidences, args.constant)
     _write_output(args.out, ("ok\n" if ok else "violated\n"))
     return 0 if ok else 1
 

@@ -103,9 +103,8 @@ class ConstraintReport:
 
 
 class CanonicalizationError(RuntimeError):
-    def __init__(self, message, config=None, last_report=None):
+    def __init__(self, message, last_report=None):
         super().__init__(message)
-        self.config = config
         self.last_report = last_report
 
 
@@ -148,16 +147,8 @@ def elekes_config(N: int) -> IncidenceConfig:
     points, N^4 incidences in total."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    points = tuple(
-        Point2(Fraction(i), Fraction(j))
-        for i in range(1, N + 1)
-        for j in range(1, 2 * N * N + 1)
-    )
-    lines = tuple(
-        Line2(Fraction(a), Fraction(b))
-        for a in range(1, N + 1)
-        for b in range(1, N * N + 1)
-    )
+    points = tuple(Point2(i, j) for i in range(1, N + 1) for j in range(1, 2 * N * N + 1))
+    lines = tuple(Line2(a, b) for a in range(1, N + 1) for b in range(1, N * N + 1))
     return IncidenceConfig(points, lines)
 
 
@@ -278,7 +269,6 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
             return candidate
     raise CanonicalizationError(
         "canonicalization failed after %d attempts" % budget,
-        config=cfg,
         last_report=None if last is None else check_constraints(_place(*last)),
     )
 
@@ -450,4 +440,4 @@ def points_from_json(text: str):
     points = load_json(text, "the point set").get("points")
     points = [json_array(p, "each point", 2) for p in json_array(points, "points")]
     check_rationals(v for p in points for v in p)
-    return [Point2(x, y) for x, y in points]
+    return [(rat(x), rat(y)) for x, y in points]

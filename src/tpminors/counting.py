@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import combinations, tee
 from math import gcd, isqrt, lcm, prod
 
-from .constructions import IncidenceConfig, Point2
 from .exact import RatMatrix, clear_denominators, det_int, rat
 
 
@@ -77,8 +76,8 @@ def _by_value(counts, D):
 
 def count_minors_equal(A: RatMatrix, k: int, t) -> int:
     """Number of k x k minors equal to t."""
-    counts, D = minor_census(A, k)
     t = rat(t)
+    counts, D = minor_census(A, k)
     if D is None:
         return counts[t.numerator, t.denominator]
     return counts[t * D]  # a non-integral t*D is no key: 0
@@ -96,8 +95,9 @@ def max_repeated_minor(A: RatMatrix, k: int):
 # incidences
 
 
-def point_line_incidences(cfg: IncidenceConfig) -> int:
-    """Exact I(P, L) by per-line membership tests."""
+def point_line_incidences(cfg) -> int:
+    """Exact I(P, L) of an IncidenceConfig ``cfg`` (its points and lines), by
+    per-line membership tests."""
     return sum(l.contains(p) for l in cfg.lines for p in cfg.points)
 
 
@@ -158,7 +158,7 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     if area <= 0:
         raise ValueError("area must be positive")
     coord = lambda v: v if type(v) is int else rat(v)  # ints are already exact
-    pts = [(p.x, p.y) if isinstance(p, Point2) else (coord(p[0]), coord(p[1])) for p in points]
+    pts = [(coord(x), coord(y)) for x, y in points]
     (xs, ys), (Lx, Ly) = clear_denominators([[x for x, _ in pts], [y for _, y in pts]])
     if len(set(zip(xs, ys))) != len(pts):
         raise ValueError("points must be distinct")
@@ -242,10 +242,18 @@ def grid_area_k_count(n: int, k: int) -> int:
 
 def as_multiset(values) -> Counter:
     """Embed an iterable of values (multiplicity 1 each unless repeated) or a
-    Counter into a rational-keyed multiset."""
-    if isinstance(values, Counter):
-        return Counter({rat(v): int(m) for v, m in values.items() if m})
-    return Counter(rat(v) for v in values)
+    Counter into a rational-keyed multiset; a Counter's multiplicities must be
+    integers >= 0, and those of equal keys such as "1/2" and "2/4" add up."""
+    if not isinstance(values, Counter):
+        return Counter(map(rat, values))
+    out = Counter()
+    for v, m in values.items():
+        m = operator.index(m)
+        if m < 0:
+            raise ValueError("multiplicity of %s is negative: %d" % (v, m))
+        if m:
+            out[rat(v)] += m
+    return out
 
 
 def _convolve(C, D, op) -> Counter:

@@ -20,11 +20,11 @@ _ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, Fraction, or string ``p/q`` or integer to an exact rational.
-
-    Floats and bools are a TypeError; decimal, exponent and other strings are
-    a ValueError naming the token.
-    """
+    """Coerce an int, string ``p/q`` or integer, or Fraction (returned as itself:
+    it is immutable) to an exact rational.  Floats and bools are a TypeError;
+    decimal, exponent and other strings are a ValueError naming the token."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, str):
         match = _ENTRY.fullmatch(value)
         if match is None:

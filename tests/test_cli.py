@@ -465,6 +465,9 @@ class TestRationalInputs:
     def test_check_st_constant(self, capsys):
         self.rejected(capsys, "2.5", "check-st", "--m", "1", "--n", "1",
                       "--incidences", "1", "--constant", "2.5")
+        # the constant is read before the counts are checked
+        self.rejected(capsys, "2.5", "check-st", "--m", "-1", "--n", "1",
+                      "--incidences", "1", "--constant", "2.5")
 
     def test_negative_value_either_spelling(self, tmp_path, capsys):
         mat = tmp_path / "m.txt"

@@ -241,7 +241,6 @@ class TestCanonicalize:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(CanonicalizationError) as err:
             canonicalize_config(elekes_config(2), seed=0, budget=0)
-        assert err.value.config is not None
         assert err.value.last_report is None  # no attempt reached the vertical-line test
 
 
@@ -335,7 +334,7 @@ def canonicalize_oracle(cfg, seed, budget):
         last_report = check_constraints(candidate)
         if last_report.ok:
             return candidate
-    raise CanonicalizationError("oracle budget exhausted", config=cfg, last_report=last_report)
+    raise CanonicalizationError("oracle budget exhausted", last_report=last_report)
 
 
 def canonical_outcome(canonicalize, cfg, seed, budget):
@@ -558,11 +557,11 @@ class TestConfigJson:
 
     def test_round_trip(self):
         cfg = elekes_config(2)
-        assert points_from_json(config_to_json(cfg)) == list(cfg.points)
+        assert points_from_json(config_to_json(cfg)) == [(p.x, p.y) for p in cfg.points]
 
     def test_fraction_coordinates(self):
         cfg = IncidenceConfig((Point2(F(1, 3), F(2, 7)),), (Line2(F(5, 2), F(1, 9)),))
-        assert points_from_json(config_to_json(cfg)) == list(cfg.points)
+        assert points_from_json(config_to_json(cfg)) == [(p.x, p.y) for p in cfg.points]
 
     @pytest.mark.parametrize("text, token", [
         ('{"points": [["1.5", "2"]], "lines": []}', "1.5"),

@@ -75,8 +75,7 @@ def census_oracle(A, k):
 def rectangles_oracle(points, area, mode):
     """The O(n^2) pair scan: every pair of distinct points, dx * dy on
     cleared integers compared with the cleared area."""
-    pts = [(p.x, p.y) for p in points]
-    (xs, ys), (Lx, Ly) = clear_denominators([[x for x, _ in pts], [y for _, y in pts]])
+    (xs, ys), (Lx, Ly) = clear_denominators([[x for x, _ in points], [y for _, y in points]])
     ipts = list(zip(xs, ys))
     # (dx*dy) == area  <=>  (Lx*dx)(Ly*dy) * area.den == area.num * Lx * Ly
     target = area.numerator * Lx * Ly
@@ -113,7 +112,7 @@ def rectangle_inputs(draw):
         lambda pq: abs((pq[0][0] - pq[1][0]) * (pq[0][1] - pq[1][1])))
     area = draw(st.one_of(spanned, st.builds(F, st.integers(0, 40), st.integers(1, 12)))
                 .filter(lambda a: a > 0))
-    return [Point2(x, y) for x, y in cells], area
+    return cells, area
 
 
 @st.composite
@@ -354,6 +353,11 @@ class TestCountersOverCensus:
         assert count_minors_equal(A, 2, F(1, 5)) == 0
         assert count_minors_equal(A, 2, F(1, 24)) == 0
 
+    def test_bad_value_reported_before_the_census(self):
+        # order 9 exceeds the 2x2 matrix, but the value token is read first
+        with pytest.raises(ValueError, match=re.escape("'1.5' is not an integer or p/q")):
+            count_minors_equal(RatMatrix([[1, 2], [3, 4]]), 9, "1.5")
+
     def test_count_equal_full_height(self):
         A = RatMatrix(TestCensusAgainstOracle.WIDE)
         assert minor_census(A, 2)[1] is None
@@ -461,36 +465,36 @@ class TestNoKd2:
 
 class TestUnitRectangles:
     def test_small_example(self):
-        pts = [Point2(0, 0), Point2(1, 1), Point2(2, 0), Point2(3, 1)]
+        pts = [(0, 0), (1, 1), (2, 0), (3, 1)]
         assert unit_rectangles(pts, 1) == 2
 
     def test_grid_corners(self):
-        pts = [Point2(x, y) for x in range(1, 5) for y in range(1, 5)]
+        pts = [(x, y) for x in range(1, 5) for y in range(1, 5)]
         assert unit_rectangles(pts, 1) == 9
         assert unit_rectangles(pts, 1) == grid_area_k_count(4, 1)
 
     def test_single_point(self):
-        assert unit_rectangles([Point2(2, 2)], 1) == 0
+        assert unit_rectangles([(2, 2)], 1) == 0
 
     def test_both_diagonals(self):
-        pts = [Point2(0, 0), Point2(1, 1), Point2(0, 1), Point2(1, 0)]
+        pts = [(0, 0), (1, 1), (0, 1), (1, 0)]
         assert unit_rectangles(pts, 1, "diagonal") == 1
         assert unit_rectangles(pts, 1, "both-diagonals") == 2
 
     def test_fractional_area(self):
-        pts = [Point2(0, 0), Point2(F(1, 2), F(1, 2))]
+        pts = [(0, 0), (F(1, 2), F(1, 2))]
         assert unit_rectangles(pts, F(1, 4)) == 1
         assert unit_rectangles(pts, F(1, 3)) == 0
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            unit_rectangles([Point2(0, 0)], 0)
+            unit_rectangles([(0, 0)], 0)
         with pytest.raises(ValueError):
-            unit_rectangles([Point2(0, 0), Point2(0, 0)], 1)
+            unit_rectangles([(0, 0), (0, 0)], 1)
 
     def test_duplicates_rejected_before_a_zero_count(self):
         # x clears by 2, so area 1/7 clears to 2/7, which no integer dx * dy equals
-        pts = [Point2(F(1, 2), 0), Point2(1, 1), Point2(F(2, 4), 0)]
+        pts = [(F(1, 2), 0), (1, 1), (F(2, 4), 0)]
         with pytest.raises(ValueError, match="points must be distinct"):
             unit_rectangles(pts, F(1, 7))
         assert unit_rectangles(pts[:2], F(1, 7)) == 0
@@ -503,13 +507,13 @@ class TestUnitRectangles:
         expected = rectangles_oracle(pts, area, mode)
         assert unit_rectangles(pts, area, mode) == expected
         # the transposed set has the same count and buckets on the other axis
-        assert unit_rectangles([Point2(p.y, p.x) for p in pts], area, mode) == expected
+        assert unit_rectangles([(y, x) for x, y in pts], area, mode) == expected
 
     @pytest.mark.parametrize("mode", ["diagonal", "both-diagonals"])
     def test_every_x_distinct(self, mode):
         # one point per column: every column pair at most T apart is a candidate
         rng = random.Random(11)
-        pts = [Point2(F(x, 2), F(rng.randint(-40, 40), 3)) for x in range(-150, 150)]
+        pts = [(F(x, 2), F(rng.randint(-40, 40), 3)) for x in range(-150, 150)]
         for area in (F(1), F(5, 2), F(12), F(1, 6)):
             assert unit_rectangles(pts, area, mode) == rectangles_oracle(pts, area, mode)
 
@@ -533,7 +537,7 @@ class TestGridClosedForm:
 
     def test_matches_rect_counter(self):
         for n in (3, 5, 7):
-            pts = [Point2(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+            pts = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
             for k in (1, 2, 6):
                 assert unit_rectangles(pts, k) == grid_area_k_count(n, k)
 
@@ -604,6 +608,19 @@ class TestMultisets:
 
     def test_mu_empty(self):
         assert mu([]) == 0
+
+    def test_counter_equal_keys_add_up(self):
+        # "1/2" and "2/4" are one rational: their multiplicities add, as in a list
+        assert mu(Counter({"1/2": 1, "2/4": 3})) == mu(["1/2"] + ["2/4"] * 3) == 4
+        assert multiset_diff(Counter({"1/2": 1, "2/4": 1}), [0]) == {F(1, 2): 2}
+
+    def test_counter_multiplicity_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            mu(Counter({1: 2.5}))
+
+    def test_counter_negative_multiplicity_rejected(self):
+        with pytest.raises(ValueError, match="^multiplicity of 1 is negative: -2$"):
+            mu(Counter({1: -2, 2: -5}))
 
     # keys negative, zero and positive over mixed denominators; Counters with
     # multiplicities, or plain lists whose repeats are the multiplicities

@@ -390,6 +390,16 @@ class TestRatParser:
     def test_examples(self, token, value):
         assert rat(token) == value
 
+    def test_fraction_returned_as_itself(self):
+        x = F(3, 4)
+        assert rat(x) is x
+
+    def test_fraction_subclass_made_a_fraction(self):
+        class Half(F):
+            pass
+        got = rat(Half(1, 2))
+        assert type(got) is F and got == F(1, 2)
+
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_rejected(self, value):
         with pytest.raises(TypeError):  # as a float is, not read as 1 or 0

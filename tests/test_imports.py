@@ -1,4 +1,5 @@
-"""Each module of the package reads every name it imports."""
+"""Each module of the package reads every name it imports, and imports only
+from the modules below it."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,22 @@ def unread_imports(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_its_imports(module):
     assert unread_imports(module) == UNREAD_ALLOWED.get(module, [])
+
+
+# the package modules each module may import from: the counters and the
+# constructions are built on the exact core alone
+LAYERS = {"exact": [], "constructions": ["exact"], "counting": ["exact"]}
+
+
+def package_imports(module):
+    """The package modules ``module`` imports from, sorted."""
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    # "from .exact import x" names its module; "from . import exact" its names
+    return sorted({name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for name in ([node.module] if node.module else [a.name for a in node.names])})
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_module_imports_only_lower_layers(module):
+    assert package_imports(module) == LAYERS[module]
