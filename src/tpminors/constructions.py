@@ -440,4 +440,6 @@ def points_from_json(text: str):
     points = load_json(text, "the point set").get("points")
     points = [json_array(p, "each point", 2) for p in json_array(points, "points")]
     check_rationals(v for p in points for v in p)
-    return [(rat(x), rat(y)) for x, y in points]
+    # one rat per distinct token, in point order, so the first bad one raises
+    value = {v: rat(v) for v in dict.fromkeys(v for p in points for v in p)}
+    return [(value[x], value[y]) for x, y in points]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, tee
 from math import gcd, isqrt, lcm, prod
@@ -242,17 +243,22 @@ def grid_area_k_count(n: int, k: int) -> int:
 
 def as_multiset(values) -> Counter:
     """Embed an iterable of values (multiplicity 1 each unless repeated) or a
-    Counter into a rational-keyed multiset; a Counter's multiplicities must be
-    integers >= 0, and those of equal keys such as "1/2" and "2/4" add up."""
-    if not isinstance(values, Counter):
+    mapping of value to integer multiplicity >= 0 into a rational-keyed multiset;
+    a key of multiplicity 0 is still checked, and equal keys ("1/2", "2/4") add up."""
+    if not isinstance(values, Mapping):
         return Counter(map(rat, values))
-    out = Counter()
-    for v, m in values.items():
-        m = operator.index(m)
-        if m < 0:
-            raise ValueError("multiplicity of %s is negative: %d" % (v, m))
-        if m:
-            out[rat(v)] += m
+    out, extra = Counter(values), Counter()  # the copy keeps each stored hash
+    for v, m in list(out.items()):
+        i = operator.index(m)
+        if i < 0:
+            raise ValueError("multiplicity of %s is negative: %d" % (v, i))
+        # a Fraction key with an int multiplicity stays as copied: no rehash
+        if not i or type(m) is not int or type(v) is not Fraction:
+            del out[v]
+            v = rat(v)
+            if i:
+                extra[v] += i
+    out.update(extra)
     return out
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -31,13 +32,14 @@ from tpminors import (
     points_from_json,
     power_sum_det_closed_form,
     power_sum_matrix,
+    unit_rectangles,
     verify_no_Kd2,
     verify_tp,
 )
 from tpminors import constructions
-from tpminors.exact import clear_denominators, det_int
+from tpminors.exact import clear_denominators, det_int, rat
 
-from test_counting import fraction_census, incidence_pairs
+from test_counting import fraction_census, incidence_pairs, rectangles_oracle
 
 
 def det2(p, q):
@@ -583,10 +585,42 @@ class TestConfigJson:
         ('{"points": [["1", -Infinity]]}', "-Infinity"),
         ('{"points": [[null, "1"]]}', "null"),
         ('{"points": [["1", [2]]]}', "[2]"),
+        ('{"points": [["1", "2"], ["1.5", "2"], ["1.5", "3"]]}', "1.5"),
+        ('{"points": [["2", "1.5e0"], ["1.5", "1.5e0"]]}', "1.5e0"),
     ])
     def test_points_decimal_rejected(self, text, token):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
             points_from_json(text)
+
+    def test_equivalent_tokens_give_equal_values(self):
+        pts = points_from_json('{"points": [["1/2", "-0"], ["2/4", 0], ["+1/2", "0/3"]]}')
+        assert pts == [(F(1, 2), 0)] * 3
+        assert all(type(v) is F for p in pts for v in p)
+
+    @pytest.mark.parametrize("mode", ["diagonal", "both-diagonals"])
+    def test_respelled_grid_counts_match_pair_scan(self, mode):
+        # each coordinate n/2 written in one of four spellings at random
+        rng = random.Random(5)
+        spell = lambda n: rng.choice((str(F(n, 2)), "%d/2" % n, "%+d/4" % (2 * n), "%d/6" % (3 * n)))
+        halves = [(x, y) for x in range(-6, 6) for y in range(-4, 7) if (x * y) % 3]
+        pts = points_from_json(json.dumps({"points": [[spell(x), spell(y)] for x, y in halves]}))
+        cells = [(F(x, 2), F(y, 2)) for x, y in halves]
+        assert pts == cells
+        for area in (F(1), F(3, 2), F(6)):
+            assert unit_rectangles(pts, area, mode) == rectangles_oracle(cells, area, mode)
+
+    def test_one_rat_per_distinct_token(self, monkeypatch):
+        calls = []
+
+        def counted_rat(value):
+            calls.append(value)
+            return rat(value)
+
+        monkeypatch.setattr(constructions, "rat", counted_rat)
+        grid = [["%d/2" % x, "%d/2" % y] for x in range(40) for y in range(40)]
+        pts = points_from_json(json.dumps({"points": grid}))
+        assert pts == [(F(x, 2), F(y, 2)) for x in range(40) for y in range(40)]
+        assert sorted(calls) == sorted("%d/2" % x for x in range(40))
 
     @pytest.mark.parametrize("text", [
         '{"points": ["12"], "lines": []}',

@@ -1,10 +1,12 @@
 import json
+import operator
 import random
 import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb, gcd, prod
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,7 +38,7 @@ from tpminors import (
 )
 from tpminors import counting
 from tpminors.counting import census_to_csv, census_to_json
-from tpminors.exact import clear_denominators, det_int
+from tpminors.exact import clear_denominators, det_int, rat
 
 
 def fraction_census(census):
@@ -582,6 +584,38 @@ def multiset_prod_oracle(C, D):
     return out
 
 
+def as_multiset_oracle(C):
+    """The per-key loop over a Counter: each key with a nonzero multiplicity
+    through rat, added with its multiplicity after operator.index and the
+    sign check; keys of multiplicity 0 are never read."""
+    out = Counter()
+    for v, m in C.items():
+        m = operator.index(m)
+        if m < 0:
+            raise ValueError("multiplicity of %s is negative: %d" % (v, m))
+        if m:
+            out[rat(v)] += m
+    return out
+
+
+@st.composite
+def mixed_mappings(draw):
+    """Counters and dicts over int, Fraction and p/q string keys, equal values
+    spelled apart ("1/2", "2/4", F(1, 2)), multiplicities from 0 up, and at
+    times one negative or non-integer multiplicity."""
+    keys = st.one_of(
+        st.integers(-4, 4),
+        st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3))),
+        st.builds("{}/{}".format, st.integers(-8, 8), st.sampled_from((1, 2, 4, 6))),
+        st.integers(-4, 4).map(str),
+    )
+    values = draw(st.dictionaries(keys, st.integers(0, 3), max_size=10))
+    bad = draw(st.sampled_from((None, None, None, -1, -3, 2.5, F(3, 2), True)))
+    if values and bad is not None:
+        values[draw(st.sampled_from(sorted(values, key=repr)))] = bad
+    return draw(st.sampled_from((Counter, dict)))(values)
+
+
 small_multisets = st.dictionaries(
     st.fractions(min_value=-6, max_value=6, max_denominator=4),
     st.integers(min_value=1, max_value=4),
@@ -621,6 +655,39 @@ class TestMultisets:
     def test_counter_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="^multiplicity of 1 is negative: -2$"):
             mu(Counter({1: -2, 2: -5}))
+
+    def test_mapping_read_as_multiplicities(self):
+        assert mu({F(1, 2): 3}) == mu(Counter({F(1, 2): 3})) == 3
+        assert mu(MappingProxyType({"1/2": 2, "2/4": 2})) == 4
+        assert multiset_diff({"1/2": 2, F(1, 2): 1}, [0]) == {F(1, 2): 3}
+
+    def test_zero_multiplicity_key_still_checked(self):
+        with pytest.raises(ValueError, match="^'x' is not an integer or p/q$"):
+            mu(Counter({"x": 0}))
+        assert counting.as_multiset(Counter({"1/2": 0, F(2): 0, 1: 2})) == {F(1): 2}
+
+    def test_fraction_keys_not_rehashed(self, monkeypatch):
+        C = Counter({F(i, 7): i for i in range(1, 40)})
+        hashed = []
+        real_hash = F.__hash__
+        monkeypatch.setattr(F, "__hash__", lambda v: hashed.append(v) or real_hash(v))
+        out = counting.as_multiset(C)
+        monkeypatch.undo()
+        assert hashed == [] and out == C
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_mappings())
+    def test_as_multiset_matches_per_key_loop(self, values):
+        # a dict is read as the Counter it would make: the loop saw only its keys
+        try:
+            expected = as_multiset_oracle(Counter(values))
+        except (TypeError, ValueError) as e:
+            with pytest.raises(type(e), match="^%s$" % re.escape(str(e))):
+                counting.as_multiset(values)
+            return
+        out = counting.as_multiset(values)
+        assert out == expected
+        assert all(type(v) is F and type(m) is int and m > 0 for v, m in out.items())
 
     # keys negative, zero and positive over mixed denominators; Counters with
     # multiplicities, or plain lists whose repeats are the multiplicities
