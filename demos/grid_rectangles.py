@@ -21,7 +21,7 @@ from tpminors import (
 
 n = 8
 G = grid_matrix(n)
-print("grid matrix n=%d, TP_2: %s" % (n, verify_tp(G, 2).ok))
+print("grid matrix n=%d, TP_2: %s" % (n, verify_tp(G, 2) is None))
 
 counts, D = minor_census(G, 2)  # the census of x/D: integer entries give D = 1
 pts = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]

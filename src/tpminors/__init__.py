@@ -3,7 +3,6 @@ point-line/hyperplane incidences, and unit-area rectangle counts."""
 
 from .exact import (
     RatMatrix,
-    TpVerdict,
     det,
     matrix_from_text,
     matrix_to_text,
@@ -15,7 +14,6 @@ from .exact import (
 )
 from .constructions import (
     CanonicalizationError,
-    ConstraintReport,
     Hyperplane,
     IncidenceConfig,
     Line2,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -91,17 +91,6 @@ class IncidenceConfig:
         object.__setattr__(self, "lines", lns)
 
 
-@dataclass
-class ConstraintReport:
-    """Violations of the six canonical-form constraints, as (id, indices)."""
-
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
 class CanonicalizationError(RuntimeError):
     def __init__(self, message, last_report=None):
         super().__init__(message)
@@ -152,8 +141,9 @@ def elekes_config(N: int) -> IncidenceConfig:
     return IncidenceConfig(points, lines)
 
 
-def check_constraints(cfg: IncidenceConfig) -> ConstraintReport:
-    """Test the six canonical-form constraints exactly.
+def check_constraints(cfg: IncidenceConfig) -> list:
+    """Test the six canonical-form constraints exactly; return the violations
+    as (constraint id, indices), in constraint order ([] when canonical).
 
     1 no two lines parallel; 2 slopes positive; 3 intercepts positive;
     4 every two points linearly independent; 5 no origin-parallel translate of
@@ -163,19 +153,19 @@ def check_constraints(cfg: IncidenceConfig) -> ConstraintReport:
     point directions y/x from the origin), so only colliding groups are
     enumerated; each constraint lists its index pairs in sorted order.
     """
-    report = ConstraintReport()
+    violations = []
     lines = cfg.lines
     points = cfg.points
     by_slope = defaultdict(list)
     for i, l in enumerate(lines):
         by_slope[l.m].append(i)
     parallel = sorted(pair for group in by_slope.values() for pair in combinations(group, 2))
-    report.violations += [(1, pair) for pair in parallel]
+    violations += [(1, pair) for pair in parallel]
     for i, l in enumerate(lines):
         if l.m <= 0:
-            report.violations.append((2, (i,)))
+            violations.append((2, (i,)))
         if l.c <= 0:
-            report.violations.append((3, (i,)))
+            violations.append((3, (i,)))
     # the origin is dependent on every point and lies on every origin-parallel
     # line; any other point is keyed by its direction, None for x = 0
     origins = []
@@ -188,14 +178,14 @@ def check_constraints(cfg: IncidenceConfig) -> ConstraintReport:
     dependent = {pair for group in by_direction.values() for pair in combinations(group, 2)}
     for o in origins:
         dependent.update((min(o, j), max(o, j)) for j in range(len(points)) if j != o)
-    report.violations += [(4, pair) for pair in sorted(dependent)]
+    violations += [(4, pair) for pair in sorted(dependent)]
     for i, l in enumerate(lines):
         for j in sorted(by_direction.get(l.m, []) + origins):
-            report.violations.append((5, (i, j)))
+            violations.append((5, (i, j)))
     for j, p in enumerate(points):
         if p.x <= 0 or p.y <= 0:
-            report.violations.append((6, (j,)))
-    return report
+            violations.append((6, (j,)))
+    return violations
 
 
 def _place(imgs, line_imgs) -> IncidenceConfig:
@@ -233,8 +223,8 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
     One shear and translation then make slopes, intercepts and point
     coordinates positive.  check_constraints is the one full test on every
     candidate so built, and a violation triggers a retry.  Deterministic
-    given (cfg, seed); raises after ``budget`` attempts, with the report of
-    the last attempt that got past the vertical-line test.
+    given (cfg, seed); raises after ``budget`` attempts, with the violations
+    of the last attempt that got past the vertical-line test as ``last_report``.
     """
     rng = random.Random(seed)
     point_vecs, _ = clear_denominators((p.x, p.y, 1) for p in cfg.points)
@@ -265,7 +255,7 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
         if len(slopes) < len(line_imgs):
             continue
         candidate = _place(imgs, line_imgs)
-        if check_constraints(candidate).ok:
+        if not check_constraints(candidate):
             return candidate
     raise CanonicalizationError(
         "canonicalization failed after %d attempts" % budget,
@@ -282,19 +272,19 @@ def assemble_tp_2xn(cfg: IncidenceConfig) -> RatMatrix:
     cfg, one unit minor per incidence via the mate-point identity.  Total
     positivity is certified by the solid-minor criterion
     (verify_tp_contiguous: the 2n entries and the n-1 adjacent-column 2x2
-    minors), whose verdict, witness included, equals the exhaustive verify_tp's.
+    minors), whose witness equals the exhaustive verify_tp's.
     """
-    report = check_constraints(cfg)
-    if not report.ok:
+    violations = check_constraints(cfg)
+    if violations:
         raise ValueError(
-            "configuration violates canonical constraints: %r" % report.violations[:5]
+            "configuration violates canonical constraints: %r" % violations[:5]
         )
     Q = list(cfg.points) + [mate_point(l) for l in cfg.lines]
     Q.sort(key=lambda p: p.y / p.x)
     A = RatMatrix([[p.x for p in Q], [p.y for p in Q]])
-    verdict = verify_tp_contiguous(A)
-    if not verdict.ok:
-        raise AssertionError("assembled matrix unexpectedly not TP: %r" % (verdict.witness,))
+    witness = verify_tp_contiguous(A)
+    if witness is not None:
+        raise AssertionError("assembled matrix unexpectedly not TP: %r" % (witness,))
     return A
 
 

@@ -122,17 +122,18 @@ def point_hyperplane_incidences(points, planes, ordered_restriction=None) -> int
 def verify_no_Kd2(points, planes):
     """Check that no d points lie on two planes of the family.
 
-    Returns (True, None) or (False, (point indices, (plane index a, b))).
+    Returns None when none do, else the witness (point indices, (plane index
+    a, b)): the first such pair a < b and the d smallest points on both.
     """
     if not planes:
-        return True, None
+        return None
     d = planes[0].dim
     incident = [frozenset(i for i, p in enumerate(points) if h.contains(p)) for h in planes]
     for a, b in combinations(range(len(planes)), 2):
         common = incident[a] & incident[b]
         if len(common) >= d:
-            return False, (tuple(sorted(common))[:d], (a, b))
-    return True, None
+            return tuple(sorted(common))[:d], (a, b)
+    return None
 
 
 # ---------------------------------------------------------------------------

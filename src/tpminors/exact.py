@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
-from typing import Optional
 
-# the one text form of a rational: an integer or p/q, optionally signed
-_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# the one text form of a rational: an integer or p/q with q != 0, optionally signed
+_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def rat(value) -> Fraction:
     """Coerce an int, string ``p/q`` or integer, or Fraction (returned as itself:
     it is immutable) to an exact rational.  Floats and bools are a TypeError;
-    decimal, exponent and other strings are a ValueError naming the token."""
+    decimal, exponent, p/0 and other strings are a ValueError naming the token."""
     if type(value) is Fraction:
         return value
     if isinstance(value, str):
@@ -121,18 +119,6 @@ class RatMatrix:
         return "RatMatrix(%r)" % (
             [[str(e) for e in row] for row in self._rows],
         )
-
-
-@dataclass(frozen=True)
-class TpVerdict:
-    """Outcome of a total-positivity scan.
-
-    ``witness`` is ``(order, I, J, value)`` for the first non-positive minor in
-    lexicographic (order, I, J) order, or None when ``ok``.
-    """
-
-    ok: bool
-    witness: Optional[tuple] = None
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +223,25 @@ def _windows(indices, k):
     return [tuple(indices[s:s + k]) for s in range(len(indices) - k + 1)]
 
 
-def _first_nonpositive(A: RatMatrix, orders, subsets=combinations) -> TpVerdict:
-    """The lexicographically first non-positive minor of the given orders, by ``subsets``."""
+def _first_nonpositive(A: RatMatrix, orders, subsets=combinations):
+    """The lexicographically first non-positive minor of the given orders, by
+    ``subsets``, as ``(order, I, J, value)``; None when there is none."""
     rows, cols = range(1, A.rows + 1), range(1, A.cols + 1)
     for k in orders:
         for I in subsets(rows, k):
             for J in subsets(cols, k):
                 v = det(A._select(I, J))  # subsets of valid ranges: no re-check
                 if v <= 0:
-                    return TpVerdict(False, (k, I, J, v))
-    return TpVerdict(True)
+                    return k, I, J, v
+    return None
 
 
-def verify_tp(A: RatMatrix, max_order=None) -> TpVerdict:
+def verify_tp(A: RatMatrix, max_order=None):
     """Exhaustively check that all minors of orders 1..max_order are positive.
 
     max_order defaults to min(rows, cols) (full TP), and may not exceed it.
-    Returns the first non-positive minor (deterministic lexicographic scan) as
-    witness.
+    Returns None when they are, else the witness ``(order, I, J, value)``: the
+    first non-positive minor in lexicographic (order, I, J) order.
     """
     if max_order is None:
         max_order = min(A.rows, A.cols)
@@ -265,17 +252,17 @@ def verify_tp(A: RatMatrix, max_order=None) -> TpVerdict:
     return _first_nonpositive(A, range(1, max_order + 1))
 
 
-def verify_tp_contiguous(A: RatMatrix) -> TpVerdict:
+def verify_tp_contiguous(A: RatMatrix):
     """Full total-positivity check that certifies by contiguous (solid) minors.
 
     By Fekete's solid-minor criterion, positivity of all minors of orders
     1..k on consecutive row and column windows implies that every minor of
     order at most k is positive.  So when a solid minor of order k fails,
     every minor below order k is positive, and a scan of order k alone names
-    the witness verify_tp names: the two verdicts are equal.
+    the witness verify_tp names: the two results are equal.
     """
-    verdict = _first_nonpositive(A, range(1, min(A.rows, A.cols) + 1), _windows)
-    return verdict if verdict.ok else _first_nonpositive(A, (verdict.witness[0],))
+    solid = _first_nonpositive(A, range(1, min(A.rows, A.cols) + 1), _windows)
+    return None if solid is None else _first_nonpositive(A, (solid[0],))
 
 
 def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:

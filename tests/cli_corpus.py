@@ -82,6 +82,7 @@ def _matrices():
         "rand5": _random_rational(1, 5, 5),
         "rand3x7": _random_rational(2, 3, 7),
         "rand6x4": _random_rational(3, 6, 4, lo=-1),
+        "zero_den": [[1, "1/0"], [1, 2]],
     }
 
 
@@ -103,6 +104,8 @@ def _json_inputs():
         "mu_null": {"A": [1, 2], "B": [1, None]},
         "mu_missing_keys": {"A": [1, 2]},
         "mu_not_object": ["1", "2"],
+        "pts_zero_den": {"points": [["1/0", "1"], ["2", "3"]]},
+        "mu_zero_den": {"values": ["1/0"]},
     }
 
 
@@ -246,6 +249,15 @@ def _invocations():
     add(["check-st", "--m", "-1", "--n", "1", "--incidences", "1"])
     add(["check-st", "--m", "1", "--n", "1", "--incidences", "1", "--constant", "0"])
     add(["check-st", "--m", "1", "--n", "1", "--incidences", "1", "--constant", "2.5"])
+
+    # a zero denominator, named as every other bad token is
+    add(["rects", "--input", "@pts_zero_den"])
+    add(["mu", "--input", "@mu_zero_den"])
+    add(["census", "--order", "1", "--input", "@zero_den"])
+    add(["count-equal", "--order", "2", "--value", "1/0", "--input", "@grid4"])
+    add(["rects", "--input", "@pts_int", "--area", "1/0"])
+    add(["scan", "--family", "random-points", "--sizes", "10,20,40", "--area", "1/0"])
+    add(["check-st", "--m", "1", "--n", "1", "--incidences", "1", "--constant", "1/0"])
 
     # argparse usage errors (exit 2)
     add([])

@@ -267,16 +267,16 @@ def verify_inputs(draw):
 @given(verify_inputs())
 def test_verify_reports_exhaustive_witness(A):
     """verify without --order prints what the exhaustive scan finds."""
-    verdict = verify_tp(A)
-    if verdict.ok:
+    witness = verify_tp(A)
+    if witness is None:
         want = "TP ok (%dx%d)\n" % (A.rows, A.cols)
     else:
-        want = "not TP: order %d minor at rows %r cols %r has value %s\n" % verdict.witness
+        want = "not TP: order %d minor at rows %r cols %r has value %s\n" % witness
     with tempfile.TemporaryDirectory() as d:
         mat, out = Path(d, "m.txt"), Path(d, "out.txt")
         mat.write_text(matrix_to_text(A))
         code = main(["--out", str(out), "verify", "--input", str(mat)])
-        assert (code, out.read_text()) == (0 if verdict.ok else 1, want)
+        assert (code, out.read_text()) == (0 if witness is None else 1, want)
 
 
 class TestCounters:
@@ -526,6 +526,27 @@ class TestRationalInputs:
     ])
     def test_mu_values(self, tmp_path, capsys, doc, token):
         self.rejected(capsys, token, "mu", "--input", self.json_file(tmp_path, doc))
+
+    @pytest.mark.parametrize("argv", [
+        ["rects", "--input", "points.json"],
+        ["mu", "--input", "values.json"],
+        ["census", "--order", "1", "--input", "matrix.txt"],
+        ["count-equal", "--order", "1", "--value", "1/0", "--input", "grid.txt"],
+        ["rects", "--area", "1/0", "--input", "diagonal.json"],
+        ["scan", "--family", "random-points", "--sizes", "30,60,120", "--area", "1/0"],
+        ["check-st", "--m", "1", "--n", "1", "--incidences", "1", "--constant", "1/0"],
+    ], ids=" ".join)
+    def test_zero_denominator(self, tmp_path, capsys, argv):
+        """A zero denominator is named as every other bad token is."""
+        inputs = {"points.json": json.dumps({"points": [["1/0", "1"], ["2", "3"]]}),
+                  "values.json": json.dumps({"values": ["1/0"]}),
+                  "matrix.txt": "2 2\n1 1/0\n1 2\n",
+                  "grid.txt": "2 2\n3 4\n2 3\n",
+                  "diagonal.json": json.dumps({"points": [[1, 1], [2, 2]]})}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in inputs else a for a in argv]
+        assert run(capsys, *argv) == (1, "", "error: '1/0' is not an integer or p/q\n")
 
     def test_json_integers_accepted(self, tmp_path, capsys):
         pts = self.json_file(tmp_path, {"points": [[1, 1], [2, 2]]})

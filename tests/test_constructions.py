@@ -127,31 +127,31 @@ class TestElekesConfig:
 
 class TestCheckConstraints:
     def test_elekes_has_parallels(self):
-        rep = check_constraints(elekes_config(2))
-        assert (1, (0, 1)) in rep.violations  # a=1,b=1 parallel to a=1,b=2
+        violations = check_constraints(elekes_config(2))
+        assert (1, (0, 1)) in violations  # a=1,b=1 parallel to a=1,b=2
 
     def test_dependent_points(self):
         cfg = IncidenceConfig((Point2(1, 1), Point2(2, 2)), ())
-        rep = check_constraints(cfg)
-        assert (4, (0, 1)) in rep.violations
+        violations = check_constraints(cfg)
+        assert (4, (0, 1)) in violations
 
     def test_canonical_output_clean(self):
         can = canonicalize_config(elekes_config(2), seed=3)
-        assert check_constraints(can).ok
+        assert check_constraints(can) == []
 
     def test_each_constraint_detected(self):
         cfg = IncidenceConfig(
             (Point2(-1, 2), Point2(2, 4)),
             (Line2(-1, 5), Line2(2, -3), Line2(2, 7)),
         )
-        rep = check_constraints(cfg)
-        ids = {c for c, _ in rep.violations}
+        violations = check_constraints(cfg)
+        ids = {c for c, _ in violations}
         assert 1 in ids  # two slope-2 lines
         assert 2 in ids  # negative slope
         assert 3 in ids  # negative intercept
         assert 6 in ids  # point outside first quadrant
         # constraint 5: point (2,4) on origin-translate of slope-2 lines
-        assert any(c == 5 for c, _ in rep.violations)
+        assert any(c == 5 for c, _ in violations)
 
 
 def pairwise_violations(cfg):
@@ -193,7 +193,7 @@ class TestCheckConstraintsOracle:
     )
     def test_matches_pairwise(self, points, lines):
         cfg = IncidenceConfig(tuple(points), tuple(lines))
-        assert check_constraints(cfg).violations == pairwise_violations(cfg)
+        assert check_constraints(cfg) == pairwise_violations(cfg)
 
     @pytest.mark.parametrize("cfg", [
         IncidenceConfig((), ()),
@@ -205,7 +205,7 @@ class TestCheckConstraintsOracle:
         canonicalize_config(elekes_config(3), seed=5),
     ])
     def test_adversarial(self, cfg):
-        assert check_constraints(cfg).violations == pairwise_violations(cfg)
+        assert check_constraints(cfg) == pairwise_violations(cfg)
 
 
 class TestCanonicalize:
@@ -213,7 +213,7 @@ class TestCanonicalize:
         cfg = elekes_config(2)
         can = canonicalize_config(cfg, seed=7)
         assert point_line_incidences(can) == point_line_incidences(cfg) == 16
-        assert check_constraints(can).ok
+        assert check_constraints(can) == []
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("N", [2, 3, 4])
@@ -230,7 +230,7 @@ class TestCanonicalize:
     def test_already_canonical_stays_canonical(self):
         can = canonicalize_config(elekes_config(2), seed=1)
         again = canonicalize_config(can, seed=2)
-        assert check_constraints(again).ok
+        assert check_constraints(again) == []
         assert point_line_incidences(again) == point_line_incidences(can)
 
     def test_duplicate_points_rejected(self):
@@ -295,7 +295,7 @@ class TestCanonicalGolden:
         # parallel line pairs
         with pytest.raises(CanonicalizationError) as err:
             canonicalize_config(elekes_config(5), seed=16005)
-        assert err.value.last_report.violations == [
+        assert err.value.last_report == [
             (1, (26, 75)), (1, (31, 82)), (1, (36, 89)), (1, (41, 96))]
 
 
@@ -334,7 +334,7 @@ def canonicalize_oracle(cfg, seed, budget):
             tuple(Line2(m + t, c + v - (m + t) * u) for m, c in lines),
         )
         last_report = check_constraints(candidate)
-        if last_report.ok:
+        if not last_report:
             return candidate
     raise CanonicalizationError("oracle budget exhausted", last_report=last_report)
 
@@ -344,7 +344,7 @@ def canonical_outcome(canonicalize, cfg, seed, budget):
     try:
         return config_to_json(canonicalize(cfg, seed, budget))
     except CanonicalizationError as err:
-        return err.last_report and err.last_report.violations
+        return err.last_report
 
 
 # wider than coords, so that some configurations have no parallel lines
@@ -396,14 +396,14 @@ class TestAssemble:
         can = canonicalize_config(elekes_config(2), seed=7)
         A = assemble_tp_2xn(can)
         assert (A.rows, A.cols) == (2, 24)
-        assert verify_tp(A).ok
+        assert verify_tp(A) is None
         assert count_minors_equal(A, 2, 1) >= 16
 
     def test_points_only(self):
         cfg = IncidenceConfig((Point2(2, 1), Point2(1, 2), Point2(1, 5)), ())
         A = assemble_tp_2xn(cfg)
         assert A.cols == 3
-        assert verify_tp(A).ok
+        assert verify_tp(A) is None
 
     def test_unsatisfied_constraints_rejected(self):
         with pytest.raises(ValueError):
@@ -462,7 +462,7 @@ class TestGridMatrix:
     def test_n3(self):
         G = grid_matrix(3)
         assert G == RatMatrix([[4, 5, 6], [3, 4, 5], [2, 3, 4]])
-        assert verify_tp(G, 2).ok
+        assert verify_tp(G, 2) is None
 
     def test_minor_closed_form(self):
         assert minor(grid_matrix(3), (1, 2), (1, 3)) == 2
@@ -549,8 +549,7 @@ class TestHyperplaneFamily:
         A = power_sum_matrix(range(1, 9), (3, 2, 1), 3)
         fam = hyperplane_family(A, 1)
         pts = [A.column(j) for j in range(1, A.cols + 1)]
-        ok, witness = verify_no_Kd2(pts, [h for _, h in fam])
-        assert ok and witness is None
+        assert verify_no_Kd2(pts, [h for _, h in fam]) is None
 
 
 class TestConfigJson:

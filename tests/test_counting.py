@@ -450,19 +450,39 @@ class TestNoKd2:
     def test_duplicate_plane_with_d_points(self):
         h = Hyperplane((0, 0, 1), 1)  # z = 1
         pts = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (5, 5, 5)]
-        ok, witness = verify_no_Kd2(pts, [h, h])
-        assert not ok
+        witness = verify_no_Kd2(pts, [h, h])
         assert witness == ((0, 1, 2), (0, 1))
 
     def test_d_minus_1_shared_points_fine(self):
         h1 = Hyperplane((0, 0, 1), 1)
         h2 = Hyperplane((1, 0, 0), 0)  # x = 0; intersection holds 2 of the points
         pts = [(0, 0, 1), (0, 1, 1), (7, 3, 1)]
-        ok, _ = verify_no_Kd2(pts, [h1, h2])
-        assert ok
+        assert verify_no_Kd2(pts, [h1, h2]) is None
 
     def test_empty(self):
-        assert verify_no_Kd2([(1, 2)], []) == (True, None)
+        assert verify_no_Kd2([(1, 2)], []) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 3), st.data())
+    def test_matches_brute_force(self, d, data):
+        small = st.integers(-2, 2)
+        points = data.draw(st.lists(st.tuples(*[small] * d), max_size=8))
+        coeffs = st.tuples(*[small] * d).filter(any)  # not all zero
+        planes = data.draw(st.lists(st.builds(Hyperplane, coeffs, small), max_size=6))
+        assert verify_no_Kd2(points, planes) == no_Kd2_oracle(points, planes)
+
+
+def no_Kd2_oracle(points, planes):
+    """Slow oracle for verify_no_Kd2: the first plane pair (a, b) in
+    combinations order on which at least d points lie, with the d smallest
+    such point indices; None when no pair qualifies."""
+    for a, b in combinations(range(len(planes)), 2):
+        shared = [i for i, p in enumerate(points)
+                  if planes[a].contains(p) and planes[b].contains(p)]
+        d = planes[a].dim
+        if len(shared) >= d:
+            return tuple(shared[:d]), (a, b)
+    return None
 
 
 class TestUnitRectangles:

@@ -169,25 +169,24 @@ class TestMinor:
 
 class TestVerifyTp:
     def test_small_tp(self):
-        assert verify_tp(RatMatrix([[1, 2], [1, 3]])).ok
+        assert verify_tp(RatMatrix([[1, 2], [1, 3]])) is None
 
     def test_witness_is_first_lexicographic(self):
-        v = verify_tp(RatMatrix([[1, 2], [2, 1]]))
-        assert not v.ok
-        assert v.witness == (2, (1, 2), (1, 2), F(-3))
+        witness = verify_tp(RatMatrix([[1, 2], [2, 1]]))
+        assert witness == (2, (1, 2), (1, 2), F(-3))
 
     def test_assembled_example(self):
-        assert verify_tp(RatMatrix([[1, 2, 1], [1, 3, 2]])).ok
+        assert verify_tp(RatMatrix([[1, 2, 1], [1, 3, 2]])) is None
 
     def test_one_row_matrix(self):
-        assert verify_tp(RatMatrix([[1, 5, F(1, 3)]])).ok
-        assert not verify_tp(RatMatrix([[1, -5, 3]])).ok
+        assert verify_tp(RatMatrix([[1, 5, F(1, 3)]])) is None
+        assert verify_tp(RatMatrix([[1, -5, 3]])) is not None
 
     def test_max_order_cutoff(self):
         # positive entries but a negative 2x2 minor: TP_1 holds, TP_2 fails
         A = RatMatrix([[1, 2], [2, 1]])
-        assert verify_tp(A, max_order=1).ok
-        assert not verify_tp(A, max_order=2).ok
+        assert verify_tp(A, max_order=1) is None
+        assert verify_tp(A, max_order=2) is not None
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_max_order_below_one_rejected(self, order):
@@ -198,27 +197,27 @@ class TestVerifyTp:
         # rejected before the scan, although the order-1 minor at (1, 1) fails
         with pytest.raises(ValueError, match=re.escape("order 3 exceeds matrix dimensions 2x4")):
             verify_tp(RatMatrix([[-1, 2, 3, 4], [1, 3, 5, 7]]), max_order=3)
-        assert verify_tp(RatMatrix([[1, 2, 3, 4], [1, 3, 5, 7]]), max_order=2).ok
+        assert verify_tp(RatMatrix([[1, 2, 3, 4], [1, 3, 5, 7]]), max_order=2) is None
 
     def test_ok_implies_sampled_minors_positive(self):
         # the k=2 power-sum matrix is TP_2; spot-check individual 2x2 minors
         A = power_sum_matrix(range(1, 6), range(5, 0, -1), 2)
-        assert verify_tp(A, max_order=2).ok
+        assert verify_tp(A, max_order=2) is None
         assert minor(A, (2, 4), (1, 5)) > 0
         assert minor(A, (1, 3), (2, 4)) > 0
 
 
 class TestContiguousCriterion:
     def test_small_cases(self):
-        assert verify_tp_contiguous(RatMatrix([[1, 2], [1, 3]])).ok
-        assert not verify_tp_contiguous(RatMatrix([[1, 2], [2, 1]])).ok
+        assert verify_tp_contiguous(RatMatrix([[1, 2], [1, 3]])) is None
+        assert verify_tp_contiguous(RatMatrix([[1, 2], [2, 1]])) is not None
 
     def test_power_sum_4x4(self):
         for shift in range(3):
             a = [F(i + 1) + F(shift, 3) for i in range(4)]
             b = [F(5 - i) + F(shift, 5) for i in range(4)]
             A = power_sum_matrix(a, b, 2)
-            assert verify_tp_contiguous(A).ok == verify_tp(A).ok
+            assert (verify_tp_contiguous(A) is None) == (verify_tp(A) is None)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -255,7 +254,7 @@ class TestContiguousCriterion:
             return det(M)
 
         monkeypatch.setattr(exact, "det", counted_det)
-        assert verify_tp_contiguous(A) == want and want.witness[0] == 4
+        assert verify_tp_contiguous(A) == want and want[0] == 4
         # below order 4 only the solid minors, (10 - r)^2 of order r, are
         # evaluated (194 where an exhaustive scan takes 8,433), and none after order 4
         assert sum(r < 4 for r in orders) == sum((10 - r) ** 2 for r in range(1, 4))
@@ -286,7 +285,7 @@ class TestContiguousOnSlopeSorted:
             cols[i], cols[i + 1] = cols[i + 1], cols[i]
         A = RatMatrix([[x for x, _ in cols], [y for _, y in cols]])
         slopes = [y / x for x, y in cols]
-        assert verify_tp(A).ok == all(a < b for a, b in zip(slopes, slopes[1:]))
+        assert (verify_tp(A) is None) == all(a < b for a, b in zip(slopes, slopes[1:]))
         assert verify_tp_contiguous(A) == verify_tp(A)
 
 
@@ -326,8 +325,8 @@ class TestScaleToUnit:
 
     def test_tp_preserved(self):
         A = RatMatrix([[2, 4, 3], [1, 3, 4]])
-        assert verify_tp(A).ok
-        assert verify_tp(scale_to_unit(A, (1, 2), (1, 2))).ok
+        assert verify_tp(A) is None
+        assert verify_tp(scale_to_unit(A, (1, 2), (1, 2))) is None
 
 
 class TestTextFormat:
@@ -370,17 +369,19 @@ class TestRatParser:
 
     @staticmethod
     def outcome(parse, token):
+        """The value, or ValueError: a zero denominator is one more token rat
+        rejects by name, where Fraction raises ZeroDivisionError."""
         try:
             return parse(token)
-        except (ValueError, ZeroDivisionError) as e:
-            return type(e)
+        except (ValueError, ZeroDivisionError):
+            return ValueError
 
     @settings(max_examples=300, deadline=None)
     @given(tokens)
     def test_integer_and_fraction_tokens(self, token):
         got = self.outcome(rat, token)
         assert got == self.outcome(F, token)
-        assert got is ZeroDivisionError or type(got) is F
+        assert got is ValueError or type(got) is F
 
     @pytest.mark.parametrize("token, value", [
         ("-0", F(0)), ("+0", F(0)), ("0/5", F(0)), ("-0/7", F(0)), ("007", F(7)),
@@ -416,7 +417,7 @@ class TestRatParser:
 
     @pytest.mark.parametrize("token", [
         "", " ", " 1", "1 ", "1 /2", "1.5", "1e3", "1/-2", "1/+2", "--1", "+-1", "1/",
-        "/2", "1/2/3", "1_000", "\u0661", "1\u0662", "\uff11", "1\n",
+        "/2", "1/2/3", "1_000", "\u0661", "1\u0662", "\uff11", "1\n", "1/0", "-3/000", "0/0",
     ])
     def test_rejected(self, token):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
