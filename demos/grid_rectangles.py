@@ -9,8 +9,6 @@ most repeated minor is driven by the divisor function.
 """
 
 from tpminors import (
-    best_k,
-    divisor_count,
     grid_area_k_count,
     grid_matrix,
     max_repeated_minor,
@@ -18,6 +16,17 @@ from tpminors import (
     unit_rectangles,
     verify_tp,
 )
+
+
+def divisor_count(k):
+    return sum(k % d == 0 for d in range(1, k + 1))
+
+
+def best_k(n):
+    """The k <= n/2 with the most divisors (the smallest on ties), and that count."""
+    k = max(range(1, n // 2 + 1), key=divisor_count)  # max keeps the first maximum
+    return k, divisor_count(k)
+
 
 n = 8
 G = grid_matrix(n)

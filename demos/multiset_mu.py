@@ -8,8 +8,14 @@ A = B = [1..n] (the zero element is degenerate: it collects all zero-area
 rectangles and grows cubically) and compares it with n^(8/3).
 """
 
-from tpminors import mu, mu_nonzero, multiset_diff, multiset_prod
+from tpminors import mu, multiset_diff, multiset_prod
 from tpminors.counting import as_multiset
+
+
+def mu_nonzero(C):
+    """Maximum multiplicity over the nonzero elements of a Counter."""
+    return max((m for v, m in C.items() if v != 0), default=0)
+
 
 d = multiset_diff([1, 2], [1, 2])
 print("A = B = {1, 2}: (A-A)*(B-B) =", dict(multiset_prod(d, d)))

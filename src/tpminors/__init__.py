@@ -22,7 +22,6 @@ from .constructions import (
     canonicalize_config,
     check_constraints,
     config_to_json,
-    dual_line,
     elekes_config,
     grid_matrix,
     hyperplane_family,
@@ -32,20 +31,16 @@ from .constructions import (
     power_sum_matrix,
 )
 from .counting import (
-    best_k,
     count_minors_equal,
-    divisor_count,
     grid_area_k_count,
     max_repeated_minor,
     minor_census,
     mu,
-    mu_nonzero,
     multiset_diff,
     multiset_prod,
     point_hyperplane_incidences,
     point_line_incidences,
     unit_rectangles,
-    verify_no_Kd2,
 )
 from .analysis import (
     RunConfig,

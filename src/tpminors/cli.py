@@ -135,7 +135,12 @@ def cmd_mu(args):
 
 
 def cmd_scan(args):
-    sizes = tuple(int(x) for x in args.sizes.split(",") if x.strip())
+    sizes = []
+    for x in _frac_list(args.sizes):
+        try:
+            sizes.append(int(x))
+        except ValueError:
+            raise ValueError("--sizes takes comma-separated integers, got %r" % x) from None
     # only the rectangle options given; RunConfig's defaults fill in the rest
     rect = {k: v for k, v in (("mode", args.mode), ("area", args.area)) if v is not None}
     if rect and args.family != "random-points":

@@ -1,4 +1,4 @@
-"""Builders for the extremal objects: dual lines, mate points, incidence
+"""Builders for the extremal objects: mate points, incidence
 configurations and their canonicalization, the assembled 2xn TP matrix,
 power-sum matrices with a closed-form determinant, grid matrices, and
 cofactor hyperplane families.
@@ -98,19 +98,7 @@ class CanonicalizationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# duality and mates
-
-
-def dual_line(p: Point2) -> Line2:
-    """Dual line of p=(a,b): {(x,y) : a*y - b*x = 1}.
-
-    q lies on it iff det of the 2x2 matrix with columns p, q equals 1.
-    Requires both coordinates nonzero (entries of a TP matrix always are).
-    """
-    if p.x == 0 or p.y == 0:
-        raise ValueError("dual line requires both coordinates nonzero: %r" % (p,))
-    # a*y - b*x = 1  ->  y = (b/a) x + 1/a
-    return Line2(p.y / p.x, Fraction(1, 1) / p.x)
+# mate points
 
 
 def mate_point(l: Line2) -> Point2:

@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, tee
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from .exact import RatMatrix, clear_denominators, det_int, rat
 
@@ -119,23 +119,6 @@ def point_hyperplane_incidences(points, planes, ordered_restriction=None) -> int
     return count
 
 
-def verify_no_Kd2(points, planes):
-    """Check that no d points lie on two planes of the family.
-
-    Returns None when none do, else the witness (point indices, (plane index
-    a, b)): the first such pair a < b and the d smallest points on both.
-    """
-    if not planes:
-        return None
-    d = planes[0].dim
-    incident = [frozenset(i for i, p in enumerate(points) if h.contains(p)) for h in planes]
-    for a, b in combinations(range(len(planes)), 2):
-        common = incident[a] & incident[b]
-        if len(common) >= d:
-            return tuple(sorted(common))[:d], (a, b)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # rectangles and the grid closed form
 
@@ -189,32 +172,6 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
             if anti:
                 count += sum(y - dy in col2 for y in col1)
     return count
-
-
-def divisor_count(k: int) -> int:
-    """div(k): number of positive divisors, by trial division."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = 0
-    r = isqrt(k)
-    for d in range(1, r + 1):
-        if k % d == 0:
-            total += 2
-    if r * r == k:
-        total -= 1
-    return total
-
-
-def best_k(n: int):
-    """The k <= n/2 maximizing div(k) (smallest k on ties)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    bk, bd = 1, 1
-    for k in range(1, n // 2 + 1):
-        d = divisor_count(k)
-        if d > bd:
-            bk, bd = k, d
-    return bk, bd
 
 
 def grid_area_k_count(n: int, k: int) -> int:
@@ -292,13 +249,6 @@ def mu(C) -> int:
     """Maximum multiplicity of any element; 0 for the empty multiset."""
     C = as_multiset(C)
     return max(C.values(), default=0)
-
-
-def mu_nonzero(C) -> int:
-    """Maximum multiplicity over nonzero elements (degenerate rectangles have
-    area 0, so growth checks against the unit-area bound exclude it)."""
-    C = as_multiset(C)
-    return max((m for v, m in C.items() if v != 0), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,31 @@ code, stdout and stderr (the table in cli_corpus.json).
 
 Inputs are generated from fixed seeds with the standard library alone and
 written to a scratch directory; every invocation runs in-process through
-``tpminors.cli.main``.  After a deliberate change of CLI output, re-record the
-table with
+``tpminors.cli.main``.  To record the hashes of new invocations, run
 
     PYTHONPATH=src python tests/cli_corpus.py
 
-and name in CHANGES.md the invocations whose hash changed, and why.  The
-module needs no test dependency, so the table can be checked on any Python
-the package supports.  Two parts of an output may vary with the platform
-rather than with the program, and are normalized before hashing (``pinned``):
-the floats of a scan's fit are rounded to 12 significant digits, since
-``math.log`` may differ in its last bits between C libraries (the fit sums
-with ``math.fsum``, so the Python version does not change it); and of an
-argparse usage error, whose usage lines wrap differently from Python 3.13 on,
-only the error line is kept, which also makes the hash independent of the
-terminal width.
+which adds them and keeps every hash already in the table.  If the hash of an
+existing invocation would change, it writes nothing, lists those invocations
+and exits 1.  After a deliberate change of CLI output, name each invocation
+to re-record, once per name:
+
+    PYTHONPATH=src python tests/cli_corpus.py --rerecord "census --order 0 --input @grid4"
+
+and name them in CHANGES.md, with the reason.  The module needs no test
+dependency, so the table can be checked on any Python the package supports.
+Two parts of an output may vary with the platform rather than with the
+program, and are normalized before hashing (``pinned``): the floats of a
+scan's fit are rounded to 12 significant digits, since ``math.log`` may differ
+in its last bits between C libraries (the fit sums with ``math.fsum``, so the
+Python version does not change it); and of an argparse usage error, whose
+usage lines wrap differently from Python 3.13 on, only the error line is kept,
+which also makes the hash independent of the terminal width.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -239,6 +245,8 @@ def _invocations():
     add(["scan", "--family", "grid", "--sizes", "2,3,4", "--area", "2"])
     add(["scan", "--family", "elekes-2xn", "--sizes", "2,3,4", "--mode", "diagonal"])
     add(["scan", "--family", "random-points", "--sizes", "10,20,40", "--area", "0.5"])
+    add(["scan", "--family", "grid", "--sizes", "2..10"])
+    add(["scan", "--family", "grid", "--sizes", "1.5,2,3"])
 
     # check-st
     for m, n, incidences in ((1, 1, 1), (10, 10, 40), (10, 10, 100), (100, 100, 1500),
@@ -301,14 +309,33 @@ def load_table():
     return json.loads(TABLE.read_text())
 
 
-def record():
+def record(rerecord=()):
+    """Hash every invocation and return (table, changed): ``changed`` names
+    the invocations already in the table, and not in ``rerecord``, whose hash
+    differs.  The table is written only when ``changed`` is empty."""
+    unknown = set(rerecord) - {name for name, _ in INVOCATIONS}
+    if unknown:
+        raise ValueError("not in the corpus: %s" % ", ".join(map(repr, sorted(unknown))))
+    old = load_table() if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as directory:
         paths = write_inputs(directory)
         table = {name: digest(argv, run(argv, paths)) for name, argv in INVOCATIONS}
-    TABLE.write_text(json.dumps(table, indent=1) + "\n")
-    return table
+    changed = [name for name, h in table.items()
+               if old.get(name, h) != h and name not in rerecord]
+    if not changed:
+        TABLE.write_text(json.dumps(table, indent=1) + "\n")
+    return table, changed
 
 
 if __name__ == "__main__":
-    table = record()
+    parser = argparse.ArgumentParser(description="Record the CLI corpus hashes.")
+    parser.add_argument("--rerecord", action="append", default=[], metavar="NAME",
+                        help="an existing invocation whose hash may change")
+    try:
+        table, changed = record(parser.parse_args().rerecord)
+    except ValueError as e:
+        parser.error(str(e))
+    if changed:
+        sys.exit("not recorded: the hash of %d existing invocation(s) would change; "
+                 "name each with --rerecord:\n%s" % (len(changed), "\n".join(changed)))
     print("recorded %d invocations in %s" % (len(table), TABLE), file=sys.stderr)

@@ -14,7 +14,6 @@ from tpminors import (
     canonicalize_config,
     count_minors_equal,
     det,
-    divisor_count,
     elekes_config,
     grid_area_k_count,
     grid_matrix,
@@ -31,11 +30,11 @@ from tpminors import (
     scan_exponent,
     st_bound_check,
     unit_rectangles,
-    verify_no_Kd2,
     verify_tp,
 )
 from tpminors.counting import as_multiset
 
+from oracles import divisor_count, verify_no_Kd2
 from test_counting import fraction_census
 
 

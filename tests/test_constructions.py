@@ -21,7 +21,6 @@ from tpminors import (
     config_to_json,
     count_minors_equal,
     det,
-    dual_line,
     elekes_config,
     grid_matrix,
     hyperplane_family,
@@ -33,12 +32,12 @@ from tpminors import (
     power_sum_det_closed_form,
     power_sum_matrix,
     unit_rectangles,
-    verify_no_Kd2,
     verify_tp,
 )
 from tpminors import constructions
 from tpminors.exact import clear_denominators, det_int, rat
 
+from oracles import dual_line, verify_no_Kd2
 from test_counting import fraction_census, incidence_pairs, rectangles_oracle
 
 

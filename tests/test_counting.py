@@ -17,11 +17,8 @@ from tpminors import (
     Line2,
     Point2,
     RatMatrix,
-    best_k,
     canonicalize_config,
     count_minors_equal,
-    divisor_count,
-    dual_line,
     elekes_config,
     grid_area_k_count,
     grid_matrix,
@@ -34,11 +31,12 @@ from tpminors import (
     point_line_incidences,
     power_sum_matrix,
     unit_rectangles,
-    verify_no_Kd2,
 )
 from tpminors import counting
 from tpminors.counting import census_to_csv, census_to_json
 from tpminors.exact import clear_denominators, det_int, rat
+
+from oracles import best_k, divisor_count, dual_line, verify_no_Kd2
 
 
 def fraction_census(census):
