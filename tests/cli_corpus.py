@@ -240,6 +240,8 @@ def _invocations():
     add(["scan", "--family", "random-points", "--sizes", "0,1,2"])
     add(["--format", "json", "scan", "--family", "random-points", "--sizes", "0,1,2"])
     add(["scan", "--family", "grid", "--sizes", "1,2,3"])
+    add(["scan", "--family", "grid", "--sizes", "200,400,800"])
+    add(["--format", "json", "scan", "--family", "grid", "--sizes", "200,400,800"])
     add(["scan", "--family", "power-sum", "--sizes", "2,3"])
     add(["scan", "--family", "grid", "--sizes", "3,2,4"])
     add(["scan", "--family", "grid", "--sizes", "2,3,4", "--area", "2"])
