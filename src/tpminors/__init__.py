@@ -32,7 +32,7 @@ from .constructions import (
 )
 from .counting import (
     count_minors_equal,
-    grid_area_k_count,
+    grid_area_counts,
     max_repeated_minor,
     minor_census,
     mu,

@@ -21,12 +21,12 @@ from .constructions import (
     assemble_tp_2xn,
     canonicalize_config,
     elekes_config,
-    power_sum_matrix,
+    grid_matrix,
 )
 from .counting import (
     RECTANGLE_MODES,
     count_minors_equal,
-    grid_area_k_count,
+    grid_area_counts,
     max_repeated_minor,
     unit_rectangles,
 )
@@ -107,14 +107,11 @@ def _measure(cfg: RunConfig, size: int):
         count = count_minors_equal(A, 2, 1)
         return A.cols, count, (("N", size),)
     if cfg.family == "grid":
-        if size < 2:  # no area k <= size/2 to choose from
-            raise ValueError("n must be >= 2")
-        k = max(range(1, size // 2 + 1), key=lambda kk: grid_area_k_count(size, kk))
-        pts = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
-        return size, unit_rectangles(pts, k), (("k", k),)
+        counts = grid_area_counts(size, size // 2)
+        k = counts.index(max(counts))  # the largest count, the smallest k on ties
+        return size, counts[k], (("k", k),)
     if cfg.family == "power-sum":
-        A = power_sum_matrix(range(1, size + 1), range(size, 0, -1), 2)  # grid_matrix(size)
-        value, count = max_repeated_minor(A, 2)
+        value, count = max_repeated_minor(grid_matrix(size), 2)
         return size, count, (("value", str(value)),)
     if cfg.family == "random-points":
         rng = random.Random(cfg.seed * 100003 + size)

@@ -174,25 +174,23 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     return count
 
 
-def grid_area_k_count(n: int, k: int) -> int:
-    """Closed form for the number of area-k axis-parallel rectangles in the
-    integer grid [1..n]^2: sum over divisor pairs dx*dy = k with dx, dy <=
-    n-1 of (n-dx)(n-dy).
+def grid_area_counts(n: int, k: int) -> list:
+    """[c_0, ..., c_k]: c_v is the number of area-v axis-parallel rectangles in
+    the integer grid [1..n]^2, by one divisor sieve: sides dx, dy <= n-1 with
+    dx*dy <= k add (n-dx)(n-dy) placements to c_{dx*dy}; O(k log k) steps.
 
-    Equals the multiplicity of value k in the 2x2 minor census of
+    c_v equals the multiplicity of value v in the 2x2 minor census of
     grid_matrix(n).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = 0
+    counts = [0] * (k + 1)
     for dx in range(1, min(k, n - 1) + 1):
-        if k % dx == 0:
-            dy = k // dx
-            if dy <= n - 1:
-                total += (n - dx) * (n - dy)
-    return total
+        for dy in range(1, min(k // dx, n - 1) + 1):
+            counts[dx * dy] += (n - dx) * (n - dy)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,9 @@ def matrix_from_text(text: str) -> RatMatrix:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("first line must be 'rows cols'")
+    if not all(t.isascii() and t.isdigit() for t in head):
+        raise ValueError("first line must be 'rows cols' as unsigned integers, got %r"
+                         % lines[0].strip())
     r, c = int(head[0]), int(head[1])
     if len(lines) != r + 1:
         raise ValueError("expected %d data rows, got %d" % (r, len(lines) - 1))

@@ -129,6 +129,9 @@ def write_inputs(directory):
     paths["malformed"].write_text('{"points": [')
     paths["not_a_matrix"] = directory / "not_a_matrix.txt"
     paths["not_a_matrix"].write_text("not a matrix\n")
+    for name, head in (("head_word", "2 x"), ("head_float", "2.0 2"), ("head_negative", "-1 2")):
+        paths[name] = directory / (name + ".txt")
+        paths[name].write_text(head + "\n1 2\n3 4\n")
     for seed, N in ((0, 2), (7, 3), (42, 4)):
         name = "tp2xn_s%d_N%d" % (seed, N)
         paths[name] = directory / (name + ".txt")
@@ -205,6 +208,8 @@ def _invocations():
             add(["verify", "--order", order, "--input", "@" + name])
     add(["verify", "--order", "0", "--input", "@grid4"])
     add(["verify", "--input", "@not_a_matrix"])
+    for name in ("head_word", "head_float", "head_negative"):
+        add(["verify", "--input", "@" + name])
     add(["verify", "--input", MISSING])
 
     # rects in both modes
@@ -242,6 +247,8 @@ def _invocations():
     add(["scan", "--family", "grid", "--sizes", "1,2,3"])
     add(["scan", "--family", "grid", "--sizes", "200,400,800"])
     add(["--format", "json", "scan", "--family", "grid", "--sizes", "200,400,800"])
+    add(["scan", "--family", "grid", "--sizes", "1000,10000,100000"])
+    add(["scan", "--family", "power-sum", "--sizes", "1,2,3"])
     add(["scan", "--family", "power-sum", "--sizes", "2,3"])
     add(["scan", "--family", "grid", "--sizes", "3,2,4"])
     add(["scan", "--family", "grid", "--sizes", "2,3,4", "--area", "2"])

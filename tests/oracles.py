@@ -8,7 +8,10 @@ here rather than in ``tpminors``.
 - ``verify_no_Kd2``: the K_{d,2}-freeness of a point-hyperplane incidence
   graph, by a pair scan over the planes;
 - ``divisor_count`` and ``best_k``: the divisor function behind the grid
-  rectangle lower bound.
+  rectangle lower bound;
+- ``grid_area_k_count``: the number of area-k rectangles in the integer
+  grid, as one sum over the divisors of k, against which the sieve
+  ``grid_area_counts`` is checked area by area.
 """
 
 from __future__ import annotations
@@ -73,3 +76,24 @@ def best_k(n: int):
         if d > bd:
             bk, bd = k, d
     return bk, bd
+
+
+def grid_area_k_count(n: int, k: int) -> int:
+    """Closed form for the number of area-k axis-parallel rectangles in the
+    integer grid [1..n]^2: sum over divisor pairs dx*dy = k with dx, dy <=
+    n-1 of (n-dx)(n-dy).
+
+    Equals the multiplicity of value k in the 2x2 minor census of
+    grid_matrix(n).
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    total = 0
+    for dx in range(1, min(k, n - 1) + 1):
+        if k % dx == 0:
+            dy = k // dx
+            if dy <= n - 1:
+                total += (n - dx) * (n - dy)
+    return total

@@ -15,7 +15,7 @@ from tpminors import (
     count_minors_equal,
     det,
     elekes_config,
-    grid_area_k_count,
+    grid_area_counts,
     grid_matrix,
     hyperplane_family,
     minor_census,
@@ -109,7 +109,7 @@ def test_criterion_5_grid_census_bridge():
     for n in range(2, 31):
         census = fraction_census(minor_census(grid_matrix(n), 2))
         for v, m in census.items():
-            ok = ok and v.denominator == 1 and m == grid_area_k_count(n, v.numerator)
+            ok = ok and v.denominator == 1 and m == grid_area_counts(n, v.numerator)[v.numerator]
         ok = ok and sum(census.values()) == (n * (n - 1) // 2) ** 2
     ok = ok and fraction_census(minor_census(grid_matrix(4), 2)) == {
         F(1): 9, F(2): 12, F(3): 6, F(4): 4, F(6): 4, F(9): 1
@@ -121,7 +121,7 @@ def test_criterion_6_divisor_lower_bound():
     ok = True
     for n in (20, 50, 100, 200):
         for k in range(1, n // 2 + 1):
-            if grid_area_k_count(n, k) < F(n * n, 4) * divisor_count(k):
+            if grid_area_counts(n, k)[k] < F(n * n, 4) * divisor_count(k):
                 ok = False
     _report("6 divisor lower bound", ok)
 

@@ -5,8 +5,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tpminors import RunConfig, fit_power_law, grid_area_k_count, scan_exponent, st_bound_check
+from tpminors import (
+    RunConfig,
+    fit_power_law,
+    grid_area_counts,
+    scan_exponent,
+    st_bound_check,
+    unit_rectangles,
+)
 from tpminors.analysis import report_to_csv, report_to_json
+
+from oracles import grid_area_k_count
 
 
 class TestFit:
@@ -50,10 +59,21 @@ class TestScan:
         report = scan_exponent(RunConfig("grid", (50, 100, 200), seed=0))
         assert report.fitted_slope > 2.0
 
-    def test_grid_counts_match_closed_form(self):
-        sizes = tuple(range(2, 101))
+    def test_grid_rows_match_rect_counter(self):
+        sizes = tuple(range(2, 31))
         report = scan_exponent(RunConfig("grid", sizes, seed=0))
         assert report.partial_error is None and [r.size for r in report.rows] == list(sizes)
+        for r in report.rows:
+            n, k = r.size, dict(r.aux)["k"]
+            # k is the area <= n/2 of the most rectangles, the smallest on ties
+            per_k = [grid_area_k_count(n, v) for v in range(1, n // 2 + 1)]
+            assert k == 1 + per_k.index(max(per_k))
+            pts = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+            assert r.count == unit_rectangles(pts, k)
+
+    def test_grid_rows_at_paper_scale_match_oracle(self):
+        report = scan_exponent(RunConfig("grid", (1000, 10000, 100000), seed=0))
+        assert report.partial_error is None and len(report.rows) == 3
         for r in report.rows:
             assert r.count == grid_area_k_count(r.size, dict(r.aux)["k"])
 
@@ -70,7 +90,7 @@ class TestScan:
             (16, 712, (("value", "12"),))]
         for r in report.rows:
             areas = range(1, (r.size - 1) ** 2 + 1)
-            assert r.count == max(grid_area_k_count(r.size, v) for v in areas)
+            assert r.count == max(grid_area_counts(r.size, v)[v] for v in areas)
         # the grid family's k <= n/2 misses area 12 at n = 16
         assert scan_exponent(RunConfig("grid", (4, 8, 16))).rows[-1].count == 664
 

@@ -20,7 +20,7 @@ from tpminors import (
     canonicalize_config,
     count_minors_equal,
     elekes_config,
-    grid_area_k_count,
+    grid_area_counts,
     grid_matrix,
     max_repeated_minor,
     minor_census,
@@ -36,7 +36,7 @@ from tpminors import counting
 from tpminors.counting import census_to_csv, census_to_json
 from tpminors.exact import clear_denominators, det_int, rat
 
-from oracles import best_k, divisor_count, dual_line, verify_no_Kd2
+from oracles import best_k, divisor_count, dual_line, grid_area_k_count, verify_no_Kd2
 
 
 def fraction_census(census):
@@ -334,7 +334,7 @@ class TestCensusOutputOrder:
 class TestCountersOverCensus:
     def test_count_equal_grid(self):
         assert count_minors_equal(grid_matrix(4), 2, 2) == 12
-        assert count_minors_equal(grid_matrix(4), 2, 2) == grid_area_k_count(4, 2)
+        assert count_minors_equal(grid_matrix(4), 2, 2) == grid_area_counts(4, 2)[2]
 
     def test_count_equal_assembled(self):
         A = RatMatrix([[1, 2, 1], [1, 3, 2]])
@@ -491,7 +491,7 @@ class TestUnitRectangles:
     def test_grid_corners(self):
         pts = [(x, y) for x in range(1, 5) for y in range(1, 5)]
         assert unit_rectangles(pts, 1) == 9
-        assert unit_rectangles(pts, 1) == grid_area_k_count(4, 1)
+        assert unit_rectangles(pts, 1) == grid_area_counts(4, 1)[1]
 
     def test_single_point(self):
         assert unit_rectangles([(2, 2)], 1) == 0
@@ -540,31 +540,39 @@ class TestUnitRectangles:
 
 class TestGridClosedForm:
     def test_examples(self):
-        assert grid_area_k_count(4, 1) == 9
-        assert grid_area_k_count(4, 2) == 12
-        assert grid_area_k_count(4, 10) == 0  # no divisor pair fits in 3x3 spans
+        assert grid_area_counts(4, 1)[1] == 9
+        assert grid_area_counts(4, 2)[2] == 12
+        assert grid_area_counts(4, 10)[10] == 0  # no divisor pair fits in 3x3 spans
 
     def test_bridge_small(self):
         for n in range(2, 12):
             census = fraction_census(minor_census(grid_matrix(n), 2))
             for v, m in census.items():
                 assert v.denominator == 1
-                assert m == grid_area_k_count(n, v.numerator)
+                assert m == grid_area_counts(n, v.numerator)[v.numerator]
             # values absent from the census have zero closed-form count
             for k in range(1, (n - 1) ** 2 + 2):
                 if F(k) not in census:
-                    assert grid_area_k_count(n, k) == 0
+                    assert grid_area_counts(n, k)[k] == 0
 
     def test_matches_rect_counter(self):
         for n in (3, 5, 7):
             pts = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
             for k in (1, 2, 6):
-                assert unit_rectangles(pts, k) == grid_area_k_count(n, k)
+                assert unit_rectangles(pts, k) == grid_area_counts(n, k)[k]
 
     def test_divisor_lower_bound_sample(self):
         for n in (20, 50):
             for k in range(1, n // 2 + 1):
-                assert grid_area_k_count(n, k) >= F(n * n, 4) * divisor_count(k)
+                assert grid_area_counts(n, k)[k] >= F(n * n, 4) * divisor_count(k)
+
+    def test_sieve_matches_per_k_oracle(self):
+        # every area a rectangle of [1..n]^2 can have, then the scan's areas k <= n/2
+        cases = [(n, (n - 1) ** 2) for n in range(2, 41)] + [(n, n // 2) for n in (50, 200, 801)]
+        for n, k in cases:
+            counts = grid_area_counts(n, k)
+            assert len(counts) == k + 1 and counts[0] == 0
+            assert counts[1:] == [grid_area_k_count(n, v) for v in range(1, k + 1)]
 
 
 class TestDivisors:
@@ -741,8 +749,9 @@ class TestMultisets:
      "unknown mode 'anti-diagonal'"),
     (lambda: divisor_count(0), "k must be >= 1"),
     (lambda: best_k(1), "n must be >= 2"),
-    (lambda: grid_area_k_count(1, 1), "n must be >= 2"),
-    (lambda: grid_area_k_count(4, 0), "k must be >= 1"),
+    (lambda: grid_area_counts(1, 1)[1], "n must be >= 2"),
+    (lambda: grid_area_counts(4, 0)[0], "k must be >= 1"),
+    (lambda: grid_area_counts(1, 0), "n must be >= 2"),  # n is checked first
 ])
 def test_boundary_checks(call, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):

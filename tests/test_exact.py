@@ -441,6 +441,13 @@ class TestRatParser:
     (lambda: matrix_from_text(" \n\n"), "empty matrix text"),
     (lambda: matrix_from_text("2 2\n1 2\n"), "expected 2 data rows, got 1"),
     (lambda: matrix_from_text("1 2\n1 2\n3 4\n"), "expected 1 data rows, got 2"),
+    # int() reads each of these headers; none is an unsigned decimal integer pair
+    (lambda: matrix_from_text("+1 2\n1 2\n"),
+     "first line must be 'rows cols' as unsigned integers, got '+1 2'"),
+    (lambda: matrix_from_text("1 0_2\n1 2\n"),
+     "first line must be 'rows cols' as unsigned integers, got '1 0_2'"),
+    (lambda: matrix_from_text(" \u0661 2\n1 2\n"),
+     "first line must be 'rows cols' as unsigned integers, got '\u0661 2'"),
 ])
 def test_boundary_checks(call, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
