@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 
 from . import analysis, constructions, counting, exact
 
@@ -24,12 +25,19 @@ def _read_input(path):
         return fh.read()
 
 
-def _write_output(path, text):
+@contextmanager
+def _output(path):
+    """The text file a command writes to: sys.stdout, or path opened for writing."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_output(path, text):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _frac_list(s):
@@ -96,10 +104,12 @@ def cmd_verify(args):
 def cmd_census(args):
     A = exact.matrix_from_text(_read_input(args.input))
     census = counting.minor_census(A, args.order)
-    if args.format == "json":
-        _write_output(args.out, counting.census_to_json(census) + "\n")
-    else:
-        _write_output(args.out, counting.census_to_csv(census))
+    with _output(args.out) as fh:
+        if args.format == "json":
+            counting.census_to_json(census, fh)
+            fh.write("\n")
+        else:
+            counting.census_to_csv(census, fh)
     return 0
 
 

@@ -11,7 +11,6 @@ minors equal p/q, a reduced pair with q > 0.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections import Counter
 from collections.abc import Mapping
@@ -254,23 +253,28 @@ def mu(C) -> int:
 
 
 def _census_rows(census):
-    """(value text, multiplicity) rows of a (counts, D) census, sorted by
-    value: p/q, or p when q = 1, with x/D reduced by gcd(x, D)."""
+    """(value text, multiplicity) rows of a (counts, D) census, yielded in
+    order of value: p/q, or p when q = 1, with x/D reduced by gcd(x, D)."""
     counts, D = census
-    rows = []
     for x in _by_value(counts, D):
         if D is None:
             p, q = x
         else:
             g = gcd(x, D)
             p, q = x // g, D // g
-        rows.append((str(p) if q == 1 else "%d/%d" % (p, q), counts[x]))
-    return rows
+        yield (str(p) if q == 1 else "%d/%d" % (p, q)), counts[x]
 
 
-def census_to_csv(census) -> str:
-    return "".join("%s,%d\n" % row for row in _census_rows(census))
+def census_to_csv(census, fh) -> None:
+    """Write the census to the text file fh, one "value,multiplicity" line per row."""
+    for row in _census_rows(census):
+        fh.write("%s,%d\n" % row)
 
 
-def census_to_json(census) -> str:
-    return json.dumps({"census": _census_rows(census)})
+def census_to_json(census, fh) -> None:
+    """Write the census to fh as json.dumps({"census": rows}) would, row by row:
+    a value text holds only digits, "-" and "/", so none needs escaping."""
+    fh.write('{"census": [')
+    for i, row in enumerate(_census_rows(census)):
+        fh.write((', ["%s", %d]' if i else '["%s", %d]') % row)
+    fh.write("]}")

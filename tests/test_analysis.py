@@ -13,6 +13,7 @@ from tpminors import (
     st_bound_check,
     unit_rectangles,
 )
+from tpminors import analysis
 from tpminors.analysis import report_to_csv, report_to_json
 
 from oracles import grid_area_k_count
@@ -76,6 +77,13 @@ class TestScan:
         assert report.partial_error is None and len(report.rows) == 3
         for r in report.rows:
             assert r.count == grid_area_k_count(r.size, dict(r.aux)["k"])
+
+    def test_grid_tie_takes_the_smallest_k(self, monkeypatch):
+        # grid_area_counts(n, n // 2) has a unique largest entry for every n
+        # in 2..1499, so the tie rule is pinned on a made-up count list
+        monkeypatch.setattr(analysis, "grid_area_counts", lambda n, k: [0, 5, 7, 7])
+        report = scan_exponent(RunConfig("grid", (4, 8, 16)))
+        assert [(r.count, r.aux) for r in report.rows] == [(7, (("k", 2),))] * 3
 
     def test_power_sum_family(self):
         report = scan_exponent(RunConfig("power-sum", (6, 10, 16, 24), seed=0))

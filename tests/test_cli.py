@@ -110,6 +110,41 @@ class TestCensusJsonGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[name, fmt]
 
 
+class TestCensusOutputFile:
+    """census opens --out only after the census has been counted, then writes
+    the same bytes as it prints."""
+
+    @pytest.mark.parametrize("text, order, message", [
+        ("2 2\n1 2\n3 4\n", "3", "error: order 3 exceeds matrix dimensions 2x2\n"),
+        ("x 2\n1 2\n3 4\n", "2", "error: first line must be 'rows cols'"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_census_leaves_output_alone(self, tmp_path, capsys, text, order, message,
+                                               fmt):
+        mat, kept, missing = tmp_path / "m.txt", tmp_path / "kept.csv", tmp_path / "new.csv"
+        mat.write_text(text)
+        kept.write_bytes(b"1,9\r\nold bytes\x00")
+        for out in (kept, missing):
+            code, stdout, err = run(capsys, "--format", fmt, "--out", str(out), "census",
+                                    "--order", order, "--input", str(mat))
+            assert (code, stdout) == (1, "") and err.startswith(message)
+        assert kept.read_bytes() == b"1,9\r\nold bytes\x00"
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_matches_stdout(self, tmp_path, capsys, fmt):
+        mat, out = tmp_path / "m.txt", tmp_path / "census.out"
+        code, _, _ = run(capsys, "--seed", "7", "--out", str(mat), "construct", "tp2xn", "--N", "3")
+        assert code == 0
+        argv = ["--format", fmt, "census", "--order", "2", "--input", str(mat)]
+        code, printed, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows = printed.count("\n") if fmt == "csv" else len(json.loads(printed)["census"])
+        assert rows > 1000
+        assert run(capsys, "--out", str(out), *argv) == (0, "", "")
+        assert out.read_bytes() == printed.encode()
+
+
 @st.composite
 def census_cli_inputs(draw):
     """Rational matrices for the CLI census, of two kinds:

@@ -1,7 +1,9 @@
+import io
 import json
 import operator
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
@@ -50,6 +52,18 @@ def fraction_census(census):
         return Counter({F(p, q): m for (p, q), m in counts.items()})
     assert type(D) is int and D > 0
     return Counter({F(x, D): m for x, m in counts.items()})
+
+
+def csv_text(census):
+    out = io.StringIO()
+    census_to_csv(census, out)
+    return out.getvalue()
+
+
+def json_text(census):
+    out = io.StringIO()
+    census_to_json(census, out)
+    return out.getvalue()
 
 
 def incidence_pairs(cfg):
@@ -297,7 +311,7 @@ class TestCensusAgainstOracle:
         # -1/2 is -2/4 and -3/6; 1/2 is 1/2 and 3/6; 1/3 is 1/3 and 2/6 (three
         # times); 0 is 0/2, 0/3 and 0/6
         census = minor_census(RatMatrix(self.ROWS), 2)
-        assert census_to_csv(census) == (
+        assert csv_text(census) == (
             "-6,1\n-14/3,1\n-4,1\n-7/2,1\n-3,1\n-5/2,1\n-2,2\n-7/4,1\n-1,2\n"
             "-2/3,1\n-1/2,2\n-1/6,1\n0,6\n1/6,2\n1/4,1\n1/3,4\n1/2,2\n2/3,1\n"
             "1,1\n5/3,1\n7/4,1\n7/2,1\n5,1\n")
@@ -319,16 +333,45 @@ class TestCensusOutputOrder:
         pairs = Counter({(v.numerator, v.denominator): m for v, m in items.items()})
         (keys,), (L,) = clear_denominators([list(items)])
         for census in ((pairs, None), (Counter(dict(zip(keys, items.values()))), L)):
-            assert census_to_csv(census) == csv
-            assert census_to_json(census) == js
+            assert csv_text(census) == csv
+            assert json_text(census) == js
 
     def test_empty_and_zero(self):
-        assert census_to_csv((Counter(), 1)) == ""
-        assert census_to_csv((Counter(), None)) == ""
-        assert census_to_json((Counter(), 6)) == '{"census": []}'
+        assert csv_text((Counter(), 1)) == ""
+        assert csv_text((Counter(), None)) == ""
+        assert json_text((Counter(), 6)) == '{"census": []}'
         census = Counter({(0, 1): 2, (-1, 3): 1, (1, 3): 4})
-        assert census_to_csv((census, None)) == "-1/3,1\n0,2\n1/3,4\n"
-        assert census_to_csv((Counter({0: 2, -2: 1, 2: 4, 6: 1}), 6)) == "-1/3,1\n0,2\n1/3,4\n1,1\n"
+        assert csv_text((census, None)) == "-1/3,1\n0,2\n1/3,4\n"
+        assert csv_text((Counter({0: 2, -2: 1, 2: 4, 6: 1}), 6)) == "-1/3,1\n0,2\n1/3,4\n1,1\n"
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+class TestCensusStreaming:
+    """The census writers stream: their peak allocation grows by a few bytes
+    per census key (the sorted key list, and the sort keys of a (p, q)
+    census), not by a list of rows or one joined text (over 200 B per key)."""
+
+    @pytest.mark.parametrize("full_height", [False, True])
+    def test_peak_allocation_per_key(self, full_height):
+        rng = random.Random(24)
+        if full_height:  # 2 x 210 over column denominators up to 1000: a (p, q) census
+            dens = [rng.randint(1, 1000) for _ in range(210)]
+            rows = [[F(rng.randint(1, 10 ** 9), d) for d in dens] for _ in range(2)]
+        else:  # 8 x 40 over row denominators 1..8: a (counts, D) census
+            rows = [[F(rng.randint(1, 10 ** 9), d) for _ in range(40)] for d in range(1, 9)]
+        census = minor_census(RatMatrix(rows), 2)
+        assert len(census[0]) >= 20000 and (census[1] is None) == full_height
+        tracemalloc.start()
+        try:
+            census_to_csv(census, _Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * len(census[0])
 
 
 class TestCountersOverCensus:
