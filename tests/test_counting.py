@@ -355,8 +355,9 @@ class TestCensusStreaming:
     per census key (the sorted key list, and the sort keys of a (p, q)
     census), not by a list of rows or one joined text (over 200 B per key)."""
 
+    @pytest.mark.parametrize("write", [census_to_csv, census_to_json])
     @pytest.mark.parametrize("full_height", [False, True])
-    def test_peak_allocation_per_key(self, full_height):
+    def test_peak_allocation_per_key(self, full_height, write):
         rng = random.Random(24)
         if full_height:  # 2 x 210 over column denominators up to 1000: a (p, q) census
             dens = [rng.randint(1, 1000) for _ in range(210)]
@@ -367,7 +368,7 @@ class TestCensusStreaming:
         assert len(census[0]) >= 20000 and (census[1] is None) == full_height
         tracemalloc.start()
         try:
-            census_to_csv(census, _Discard())
+            write(census, _Discard())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
