@@ -21,13 +21,11 @@ from .constructions import (
     assemble_tp_2xn,
     canonicalize_config,
     elekes_config,
-    grid_matrix,
 )
 from .counting import (
     RECTANGLE_MODES,
     count_minors_equal,
     grid_area_counts,
-    max_repeated_minor,
     unit_rectangles,
 )
 from .exact import rat
@@ -106,13 +104,13 @@ def _measure(cfg: RunConfig, size: int):
         A = assemble_tp_2xn(canonical)
         count = count_minors_equal(A, 2, 1)
         return A.cols, count, (("N", size),)
-    if cfg.family == "grid":
-        counts = grid_area_counts(size, size // 2)
-        k = counts.index(max(counts))  # the largest count, the smallest k on ties
-        return size, counts[k], (("k", k),)
-    if cfg.family == "power-sum":
-        value, count = max_repeated_minor(grid_matrix(size), 2)
-        return size, count, (("value", str(value)),)
+    if cfg.family in ("grid", "power-sum"):
+        # c_v counts the 2x2 minors of grid_matrix(size) equal to v: the grid
+        # family reads the areas v <= size/2, power-sum every area
+        grid = cfg.family == "grid"
+        counts = grid_area_counts(size, size // 2 if grid else (size - 1) ** 2)
+        k = counts.index(max(counts))  # the largest count, the smallest area on ties
+        return size, counts[k], (("k", k) if grid else ("value", str(k)),)
     if cfg.family == "random-points":
         rng = random.Random(cfg.seed * 100003 + size)
         g = max(2, math.isqrt(4 * size) + 1)

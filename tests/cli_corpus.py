@@ -250,6 +250,10 @@ def _invocations():
     add(["scan", "--family", "grid", "--sizes", "1000,10000,100000"])
     add(["scan", "--family", "power-sum", "--sizes", "1,2,3"])
     add(["scan", "--family", "power-sum", "--sizes", "2,3"])
+    add(["scan", "--family", "power-sum", "--sizes", "8,16,32,64"])
+    add(["--format", "json", "scan", "--family", "power-sum", "--sizes", "8,16,32,64"])
+    add(["--seed", "3", "scan", "--family", "power-sum", "--sizes", "8,16,32,64"])
+    add(["scan", "--family", "power-sum", "--sizes", "2,5,9,13"])
     add(["scan", "--family", "grid", "--sizes", "3,2,4"])
     add(["scan", "--family", "grid", "--sizes", "2,3,4", "--area", "2"])
     add(["scan", "--family", "elekes-2xn", "--sizes", "2,3,4", "--mode", "diagonal"])

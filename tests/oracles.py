@@ -7,8 +7,8 @@ here rather than in ``tpminors``.
   are point-line incidences;
 - ``verify_no_Kd2``: the K_{d,2}-freeness of a point-hyperplane incidence
   graph, by a pair scan over the planes;
-- ``divisor_count`` and ``best_k``: the divisor function behind the grid
-  rectangle lower bound;
+- ``divisor_count``: the divisor function behind the grid rectangle lower
+  bound;
 - ``grid_area_k_count``: the number of area-k rectangles in the integer
   grid, as one sum over the divisors of k, against which the sieve
   ``grid_area_counts`` is checked area by area.
@@ -64,18 +64,6 @@ def divisor_count(k: int) -> int:
     if r * r == k:
         total -= 1
     return total
-
-
-def best_k(n: int):
-    """The k <= n/2 maximizing div(k) (smallest k on ties)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    bk, bd = 1, 1
-    for k in range(1, n // 2 + 1):
-        d = divisor_count(k)
-        if d > bd:
-            bk, bd = k, d
-    return bk, bd
 
 
 def grid_area_k_count(n: int, k: int) -> int:

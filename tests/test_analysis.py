@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from tpminors import (
     RunConfig,
     fit_power_law,
-    grid_area_counts,
+    grid_matrix,
+    max_repeated_minor,
     scan_exponent,
     st_bound_check,
     unit_rectangles,
@@ -78,12 +79,15 @@ class TestScan:
         for r in report.rows:
             assert r.count == grid_area_k_count(r.size, dict(r.aux)["k"])
 
-    def test_grid_tie_takes_the_smallest_k(self, monkeypatch):
+    @pytest.mark.parametrize("family, aux", [("grid", (("k", 2),)),
+                                             ("power-sum", (("value", "2"),))])
+    def test_grid_tie_takes_the_smallest_k(self, monkeypatch, family, aux):
         # grid_area_counts(n, n // 2) has a unique largest entry for every n
-        # in 2..1499, so the tie rule is pinned on a made-up count list
+        # in 2..1499, so the tie rule is pinned on a made-up count list (over
+        # every area, power-sum's counts also tie at n = 3 and 30)
         monkeypatch.setattr(analysis, "grid_area_counts", lambda n, k: [0, 5, 7, 7])
-        report = scan_exponent(RunConfig("grid", (4, 8, 16)))
-        assert [(r.count, r.aux) for r in report.rows] == [(7, (("k", 2),))] * 3
+        report = scan_exponent(RunConfig(family, (4, 8, 16)))
+        assert [(r.count, r.aux) for r in report.rows] == [(7, aux)] * 3
 
     def test_power_sum_family(self):
         report = scan_exponent(RunConfig("power-sum", (6, 10, 16, 24), seed=0))
@@ -96,9 +100,13 @@ class TestScan:
         assert [(r.size, r.count, r.aux) for r in report.rows] == [
             (4, 12, (("value", "2"),)), (8, 92, (("value", "4"),)),
             (16, 712, (("value", "12"),))]
+        # the row is read from the sieve; the full order-2 census is its oracle
+        sizes = tuple(range(2, 31)) + (40,)
+        report = scan_exponent(RunConfig("power-sum", sizes, seed=0))
+        assert report.partial_error is None and [r.size for r in report.rows] == list(sizes)
         for r in report.rows:
-            areas = range(1, (r.size - 1) ** 2 + 1)
-            assert r.count == max(grid_area_counts(r.size, v)[v] for v in areas)
+            value, count = max_repeated_minor(grid_matrix(r.size), 2)
+            assert (r.count, r.aux) == (count, (("value", str(value)),))
         # the grid family's k <= n/2 misses area 12 at n = 16
         assert scan_exponent(RunConfig("grid", (4, 8, 16))).rows[-1].count == 664
 

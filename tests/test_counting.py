@@ -38,7 +38,7 @@ from tpminors import counting
 from tpminors.counting import census_to_csv, census_to_json
 from tpminors.exact import clear_denominators, det_int, rat
 
-from oracles import best_k, divisor_count, dual_line, grid_area_k_count, verify_no_Kd2
+from oracles import divisor_count, dual_line, grid_area_k_count, verify_no_Kd2
 
 
 def fraction_census(census):
@@ -625,10 +625,6 @@ class TestDivisors:
         assert divisor_count(1) == 1
         assert divisor_count(36) == 9
 
-    def test_best_k(self):
-        assert best_k(24) == (12, 6)
-        assert best_k(2) == (1, 1)
-
     def test_brute_force_agreement(self):
         for k in range(1, 200):
             assert divisor_count(k) == sum(1 for d in range(1, k + 1) if k % d == 0)
@@ -792,7 +788,6 @@ class TestMultisets:
     (lambda: unit_rectangles([(1, 2), (2, 3)], 1, mode="anti-diagonal"),
      "unknown mode 'anti-diagonal'"),
     (lambda: divisor_count(0), "k must be >= 1"),
-    (lambda: best_k(1), "n must be >= 2"),
     (lambda: grid_area_counts(1, 1)[1], "n must be >= 2"),
     (lambda: grid_area_counts(4, 0)[0], "k must be >= 1"),
     (lambda: grid_area_counts(1, 0), "n must be >= 2"),  # n is checked first
