@@ -788,6 +788,7 @@ class TestMultisets:
     (lambda: unit_rectangles([(1, 2), (2, 3)], 1, mode="anti-diagonal"),
      "unknown mode 'anti-diagonal'"),
     (lambda: divisor_count(0), "k must be >= 1"),
+    (lambda: grid_area_k_count(1, 1), "n must be >= 2"),
     (lambda: grid_area_counts(1, 1)[1], "n must be >= 2"),
     (lambda: grid_area_counts(4, 0)[0], "k must be >= 1"),
     (lambda: grid_area_counts(1, 0), "n must be >= 2"),  # n is checked first
