@@ -32,7 +32,7 @@ fam = hyperplane_family(A, 1)
 print("3x%d TP matrix -> %d cofactor hyperplanes (pairwise distinct)"
       % (A.cols, len(fam)))
 
-pts = [A.column(j) for j in range(1, A.cols + 1)]
+pts = list(zip(*A.entries))
 ordered = point_hyperplane_incidences(
     pts, [h for _, h in fam], [I for I, _ in fam]
 )

@@ -114,8 +114,7 @@ def _measure(cfg: RunConfig, size: int):
     if cfg.family == "random-points":
         rng = random.Random(cfg.seed * 100003 + size)
         g = max(2, math.isqrt(4 * size) + 1)
-        cells = [(x, y) for x in range(1, g + 1) for y in range(1, g + 1)]
-        pts = rng.sample(cells, size)
+        pts = [(c // g + 1, c % g + 1) for c in rng.sample(range(g * g), size)]
         return size, unit_rectangles(pts, cfg.area, mode=cfg.mode), ()
     raise AssertionError(cfg.family)
 

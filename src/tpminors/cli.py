@@ -268,6 +268,8 @@ def _join_signed_values(argv):
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values print at any width
+        sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_signed_values(argv))
     try:

@@ -73,18 +73,6 @@ class RatMatrix:
     def entries(self):
         return self._rows
 
-    def entry(self, i, j):
-        """1-based entry access, A_{ij}."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise ValueError("entry (%d,%d) out of range" % (i, j))
-        return self._rows[i - 1][j - 1]
-
-    def column(self, j):
-        """1-based column as a tuple."""
-        if not (1 <= j <= self.cols):
-            raise ValueError("column %d out of range" % j)
-        return tuple(r[j - 1] for r in self._rows)
-
     def submatrix(self, I, J):
         """Submatrix A_{I,J} selected by 1-based strictly increasing tuples."""
         return self._select(check_index_tuple(I, self.rows, "row tuple"),
@@ -96,18 +84,6 @@ class RatMatrix:
         sub = RatMatrix.__new__(RatMatrix)
         sub._rows = tuple(tuple(self._rows[i - 1][j - 1] for j in J) for i in I)
         return sub
-
-    def scale_row(self, i, factor):
-        """New matrix with 1-based row ``i`` multiplied by ``factor``."""
-        factor = rat(factor)
-        if not (1 <= i <= self.rows):
-            raise ValueError("row %d out of range" % i)
-        return RatMatrix(
-            tuple(
-                tuple(e * factor for e in row) if r == i - 1 else row
-                for r, row in enumerate(self._rows)
-            )
-        )
 
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self._rows == other._rows
@@ -277,7 +253,7 @@ def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:
     m0 = minor(A, I0, J0)
     if m0 <= 0:
         raise ValueError("designated minor must be positive, got %s" % m0)
-    return A.scale_row(1, Fraction(1, 1) / m0)
+    return RatMatrix([[e / m0 for e in A.entries[0]], *A.entries[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,9 @@ def _invocations():
     add(["scan", "--family", "random-points", "--sizes", "20,40,80", "--area", "1/2"])
     add(["scan", "--family", "random-points", "--sizes", "0,1,2"])
     add(["--format", "json", "scan", "--family", "random-points", "--sizes", "0,1,2"])
+    add(["scan", "--family", "random-points", "--sizes", "1000,10000,100000"])
+    add(["--format", "json", "--seed", "3", "scan", "--family", "random-points",
+         "--sizes", "1000,10000,100000", "--mode", "both-diagonals"])
     add(["scan", "--family", "grid", "--sizes", "1,2,3"])
     add(["scan", "--family", "grid", "--sizes", "200,400,800"])
     add(["--format", "json", "scan", "--family", "grid", "--sizes", "200,400,800"])

@@ -136,7 +136,7 @@ def test_criterion_7_hyperplane_equivalence_d3():
         A = power_sum_matrix(a, b, 3)
         A = scale_to_unit(A, (1, 2, 3), (1, 2, 3))
         fam = hyperplane_family(A, 1)  # raises if any pair proportional
-        pts = [A.column(j) for j in range(1, A.cols + 1)]
+        pts = list(zip(*A.entries))
         got = point_hyperplane_incidences(pts, [h for _, h in fam], [I for I, _ in fam])
         want = count_minors_equal(A, 3, 1)
         ok = ok and got == want and want >= 1

@@ -144,6 +144,19 @@ class TestCensusOutputFile:
         assert run(capsys, "--out", str(out), *argv) == (0, "", "")
         assert out.read_bytes() == printed.encode()
 
+    def test_value_past_the_str_digit_limit(self, tmp_path, capsys):
+        """A value wider than Python's default 4,300-digit int-to-str limit is
+        written whole, over an existing file."""
+        big = 10 ** 2200 + 1
+        mat, out = tmp_path / "m.txt", tmp_path / "census.csv"
+        mat.write_text("2 2\n%d 0\n0 %d\n" % (big, big))
+        out.write_text("old\n")
+        code, _, err = run(capsys, "--out", str(out), "census", "--order", "2",
+                           "--input", str(mat))
+        assert (code, err) == (0, "")
+        value, multiplicity = out.read_text().split(",")
+        assert len(value) == 4401 and value == str(big * big) and multiplicity == "1\n"
+
 
 @st.composite
 def census_cli_inputs(draw):

@@ -503,10 +503,11 @@ class TestHyperplaneFamily:
     def test_d3_membership_iff_unit_minor(self):
         A = power_sum_matrix(range(1, 6), (3, 2, 1), 3)
         fam = dict(hyperplane_family(A, 1))
+        pts = list(zip(*A.entries))
         for I in [(1, 2), (2, 4), (1, 3)]:
             h = fam[I]
             for k in range(max(I) + 1, A.cols + 1):
-                on = h.contains(A.column(k))
+                on = h.contains(pts[k - 1])
                 m = minor(A, (1, 2, 3), tuple(sorted(I + (k,))))
                 assert on == (m == 1)
 
@@ -532,7 +533,7 @@ class TestHyperplaneFamily:
         A = RatMatrix([[2, 5, F(1, 2), 5]])
         fam = hyperplane_family(A, 5)
         assert fam == [((), Hyperplane((1,), 5))]
-        pts = [A.column(j) for j in range(1, A.cols + 1)]
+        pts = list(zip(*A.entries))
         assert sum(map(fam[0][1].contains, pts)) == count_minors_equal(A, 1, 5) == 2
 
     def test_proportional_members_rejected(self):
@@ -547,7 +548,7 @@ class TestHyperplaneFamily:
     def test_family_is_Kd2_free(self):
         A = power_sum_matrix(range(1, 9), (3, 2, 1), 3)
         fam = hyperplane_family(A, 1)
-        pts = [A.column(j) for j in range(1, A.cols + 1)]
+        pts = list(zip(*A.entries))
         assert verify_no_Kd2(pts, [h for _, h in fam]) is None
 
 

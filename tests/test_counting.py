@@ -447,6 +447,40 @@ class TestCountersOverCensus:
         assert len(minor_census(A, 2)[0]) == len(values)
 
 
+def increasing_rationals(size):
+    """Strictly increasing positive rationals p/q, 2..size of them, p <= 24 and q <= 4."""
+    values = st.builds(F, st.integers(1, 24), st.integers(1, 4))
+    return st.sets(values, min_size=2, max_size=size).map(sorted)
+
+
+class TestRectangleIdentity:
+    """The paper's step from repeated minors to rectangles: for increasing a
+    and decreasing b, the 2x2 minor of power_sum_matrix(a, b, 2) on rows
+    i < j and columns k < l is (a_l - a_k)(b_i - b_j).  So three counters give
+    one number at every value t: the order-2 census, the area-t rectangles
+    among the points A x B in diagonal mode, and half the multiplicity of t
+    in (A - A)(B - B), whose negative-times-negative products count each
+    rectangle a second time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(increasing_rationals(12), increasing_rationals(12))
+    def test_census_rectangles_and_products_agree(self, a, b):
+        # count_minors_equal builds the whole census for each value: cap A x B at
+        # 48 points (12 x 4, 4 x 12, 7 x 6, ...), at most 420 minors
+        assume(len(a) * len(b) <= 48)
+        b = b[::-1]
+        A = power_sum_matrix(a, b, 2)
+        census = fraction_census(minor_census(A, 2))
+        points = [(x, y) for x in a for y in b]
+        products = multiset_prod(multiset_diff(a, a), multiset_diff(b, b))
+        absent = min(census) / 2  # every minor is positive: below the least of them
+        assert absent not in census
+        for t in [*census, absent]:
+            counts = (count_minors_equal(A, 2, t), unit_rectangles(points, t, "diagonal"),
+                      F(products[t], 2))
+            assert counts == (census[t],) * 3, t
+
+
 class TestIncidences:
     def test_elekes(self):
         assert point_line_incidences(elekes_config(2)) == 16
@@ -481,7 +515,7 @@ class TestIncidences:
                 power_sum_matrix(a, (5, 3, 1), 3), (1, 2, 3), (1, 2, 3)
             )
             fam = hyperplane_family(A, 1)
-            pts = [A.column(j) for j in range(1, A.cols + 1)]
+            pts = list(zip(*A.entries))
             got = point_hyperplane_incidences(
                 pts, [h for _, h in fam], [I for I, _ in fam]
             )

@@ -1,11 +1,18 @@
-"""Every exported name has a program path: it is reached from a CLI command,
-or the README lists it as library-only, with a reason.
+"""Every definition has a program path: it is reached from the CLI, or the
+README lists it as library-only, with a reason.  So has every public method
+and property of an exported class.
 
 The graph is read from the source: each top-level definition of a package
 module (function, class or assignment) reads the top-level names its body
 loads, outside annotations and its own locals, and the ``module.name``
-attributes of the package modules it imports.  The walk starts at the
-``cmd_*`` functions of ``cli.py``.
+attributes of the package modules it imports.  The walk starts at
+``cli.main``, the console-script entry point, and at the ``cmd_*`` functions
+of ``cli.py``.
+
+A member (dunders are exempt) is reached when its name is read as an
+attribute, ``x.name`` for any ``x``, in the body of a reached definition, of
+a library-only name or of a member already reached.  The body of a class as
+a whole does not count, or every member would read every other.
 """
 
 import ast
@@ -85,8 +92,9 @@ def edges(module, name):
 
 
 def reached():
-    """Every (module, name) reached from the ``cmd_*`` functions of cli.py."""
-    todo = [("cli", name) for name in PACKAGE["cli"][0] if name.startswith("cmd_")]
+    """Every (module, name) reached from ``main`` and the ``cmd_*`` functions of cli.py."""
+    todo = [("cli", name) for name in PACKAGE["cli"][0]
+            if name == "main" or name.startswith("cmd_")]
     seen = set(todo)
     while todo:
         for nxt in edges(*todo.pop()) - seen:
@@ -109,6 +117,42 @@ def library_only():
     return re.findall(r"^- `(\w+)`", section, re.M)
 
 
+def attributes(node):
+    """The attribute names one definition reads: ``x.name`` for any ``x``."""
+    return {n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def members():
+    """{(class, member): node} of the public methods and properties of every
+    exported class."""
+    out = {}
+    for name, (module, _) in exports().items():
+        node = PACKAGE[module][0][name]
+        if isinstance(node, ast.ClassDef):
+            out.update(((name, item.name), item) for item in node.body
+                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    return out
+
+
+def reached_members():
+    """The (class, member) pairs whose name a reached body reads, to a fixed point."""
+    library = {exports()[name] for name in library_only()}
+    names = set()
+    for module, name in reached() | library:
+        node = PACKAGE[module][0][name]
+        if not isinstance(node, ast.ClassDef):
+            names |= attributes(node)
+    candidates, seen = members(), set()
+    while True:
+        new = {key for key in candidates if key[1] in names} - seen
+        if not new:
+            return seen
+        seen |= new
+        for key in new:
+            names |= attributes(candidates[key])
+
+
 def test_graph_reaches_the_commands_callees():
     """The walk follows module attributes, imports and aliases: the scan
     families' counters, and det_int through constructions' det_int3."""
@@ -121,3 +165,27 @@ def test_every_export_has_a_program_path():
     seen = reached()
     unreached = sorted(n for n, where in exports().items() if where not in seen)
     assert unreached == sorted(library_only())
+
+
+def test_every_definition_has_a_program_path():
+    """From ``main``, private helpers too: a top-level definition that only a
+    library-only name reads would be a second, unlisted library name."""
+    seen = reached()
+    unreached = sorted(name for module in MODULES for name in PACKAGE[module][0]
+                       if (module, name) not in seen)
+    assert unreached == sorted(library_only())
+
+
+def test_member_walk_follows_each_source():
+    """rows is read in a command's path, submatrix only in a library-only
+    body (hyperplane_family), dim only in a reached member (Hyperplane.contains);
+    private members and dunders are not walked."""
+    found = set(members())
+    assert {("RatMatrix", "rows"), ("RatMatrix", "submatrix"),
+            ("Hyperplane", "dim")} <= reached_members() <= found
+    assert not any(member.startswith("_") for _, member in found)
+
+
+def test_every_member_has_a_reader():
+    unread = sorted("%s.%s" % key for key in set(members()) - reached_members())
+    assert unread == []
