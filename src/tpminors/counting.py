@@ -44,7 +44,7 @@ def minor_census(A: RatMatrix, k: int):
     if k > min(A.rows, A.cols):
         raise ValueError("order %d exceeds matrix dimensions %dx%d" % (k, A.rows, A.cols))
     int_rows, scales = min(
-        clear_denominators(A.entries), clear_denominators(zip(*A.entries)),
+        A._clear(), clear_denominators(zip(*A.entries)),
         key=lambda cleared: max(abs(x).bit_length() for row in cleared[0] for x in row))
     if len(int_rows[0]) == k:
         # v/s as (v // g, s // g), g = gcd(v, s) > 0 since s > 0: one key per value

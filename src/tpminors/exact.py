@@ -1,8 +1,9 @@
 """Exact rational matrices: determinants, minors, and total-positivity checks.
 
-Every scalar is a ``fractions.Fraction`` (always stored reduced, positive
-denominator), so equality of minor values is a genuine exact predicate.
-Floating point is rejected at the boundary.
+Every scalar is a reduced ``fractions.Fraction``, so equality of minor values
+is a genuine exact predicate.  A matrix clears its denominators once; a
+submatrix inherits its cleared rows and row scales, and builds its Fraction
+entries only when they are read.  Floating point is rejected at the boundary.
 """
 
 from __future__ import annotations
@@ -48,9 +49,11 @@ def check_index_tuple(t, bound, name="index tuple"):
 
 
 class RatMatrix:
-    """Immutable dense matrix of exact rationals (row-major)."""
+    """Immutable dense matrix of exact rationals (row-major).  ``_clear`` clears
+    its denominators once; a submatrix from ``_select`` inherits that pair of
+    int rows and row scales, and its Fraction ``_rows`` stay None until read."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_cleared")
 
     def __init__(self, rows):
         data = tuple(tuple(rat(e) for e in row) for row in rows)
@@ -60,18 +63,26 @@ class RatMatrix:
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
         self._rows = data
+        self._cleared = None
 
     @property
     def rows(self):
-        return len(self._rows)
+        return len(self.entries)
 
     @property
     def cols(self):
-        return len(self._rows[0])
+        return len(self.entries[0])
 
     @property
     def entries(self):
+        if self._rows is None:
+            self._rows = tuple(tuple(Fraction(v, s) for v in r) for r, s in zip(*self._cleared))
         return self._rows
+
+    def _clear(self):
+        if self._cleared is None:
+            self._cleared = clear_denominators(self._rows)
+        return self._cleared
 
     def submatrix(self, I, J):
         """Submatrix A_{I,J} selected by 1-based strictly increasing tuples."""
@@ -80,20 +91,22 @@ class RatMatrix:
 
     def _select(self, I, J):
         """A_{I,J} for index tuples already known to be valid."""
-        # the entries are already reduced Fractions: skip the rat pass of __init__
+        # a row keeps its scale, perhaps above the lcm of the selected entries
+        ints, scales = self._clear()
         sub = RatMatrix.__new__(RatMatrix)
-        sub._rows = tuple(tuple(self._rows[i - 1][j - 1] for j in J) for i in I)
+        sub._rows = None
+        sub._cleared = [[ints[i - 1][j - 1] for j in J] for i in I], [scales[i - 1] for i in I]
         return sub
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self._rows == other._rows
+        return isinstance(other, RatMatrix) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(self.entries)
 
     def __repr__(self):
         return "RatMatrix(%r)" % (
-            [[str(e) for e in row] for row in self._rows],
+            [[str(e) for e in row] for row in self.entries],
         )
 
 
@@ -174,10 +187,11 @@ def det_int(m):
 
 
 def det(M: RatMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    if M.rows != M.cols:
-        raise ValueError("determinant requires a square matrix, got %dx%d" % (M.rows, M.cols))
-    int_rows, scales = clear_denominators(M.entries)
+    """Exact determinant of a square rational matrix, read from its cleared form."""
+    int_rows, scales = M._clear()
+    if len(int_rows) != len(int_rows[0]):
+        raise ValueError("determinant requires a square matrix, got %dx%d"
+                         % (len(int_rows), len(int_rows[0])))
     return Fraction(det_int(int_rows), prod(scales))
 
 

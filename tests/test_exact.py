@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from tpminors import (
 )
 from tpminors import exact
 from tpminors.constructions import grid_matrix, power_sum_matrix
-from tpminors.exact import det_int, rat
+from tpminors.exact import clear_denominators, det_int, rat
 
 
 rationals = st.fractions(
@@ -26,6 +27,18 @@ rationals = st.fractions(
 
 def rand_matrix(draw_rows):
     return RatMatrix(draw_rows)
+
+
+def cof_det(m):
+    """Cofactor expansion along the first row: the slow determinant oracle."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = F(0)
+    for j in range(n):
+        sub = [row[:j] + row[j + 1:] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * cof_det(sub)
+    return total
 
 
 class TestDet:
@@ -43,20 +56,23 @@ class TestDet:
             det(RatMatrix([[1, 2, 3], [4, 5, 6]]))
 
     def test_bareiss_path_matches_expansion(self):
-        # 5x5 exercises the fraction-free elimination branch
-        rows = [[F(i * j + i + 2 * j + 1, 1 + (i + j) % 3) for j in range(5)] for i in range(5)]
+        # 7x7 exercises the fraction-free elimination branch (closed forms stop
+        # at order 5); the diagonal term keeps the matrix nonsingular
+        rows = [[F(i * j + i + 2 * j + 1 + (i == j), 1 + (i + j) % 3) for j in range(7)]
+                for i in range(7)]
         A = RatMatrix(rows)
-        # cofactor oracle along the first row
-        def cof_det(m):
-            n = len(m)
-            if n == 1:
-                return m[0][0]
-            total = F(0)
-            for j in range(n):
-                sub = [row[:j] + row[j + 1:] for row in m[1:]]
-                total += (-1) ** j * m[0][j] * cof_det(sub)
-            return total
-        assert det(A) == cof_det([list(r) for r in A.entries])
+        assert det(A) == cof_det([list(r) for r in A.entries]) != 0
+
+    def test_bareiss_on_inherited_row_scales(self):
+        # columns 2 and 5 of the 9x9 carry denominator 7; the 7x7 submatrix drops
+        # them but inherits row scales that still hold it, so Bareiss runs on
+        # integer rows that are not the minimal ones
+        rows = [[F(i * j + i + 2 * j + 1 + (i == j), 7 if j in (1, 4) else 1 + (i + j) % 3)
+                 for j in range(9)] for i in range(9)]
+        sub = RatMatrix(rows).submatrix((1, 2, 3, 5, 6, 8, 9), (1, 3, 4, 6, 7, 8, 9))
+        value = det(sub)
+        assert sub._cleared[1] != clear_denominators(sub.entries)[1]
+        assert value == cof_det([list(r) for r in sub.entries]) != 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -199,6 +215,21 @@ class TestVerifyTp:
             verify_tp(RatMatrix([[-1, 2, 3, 4], [1, 3, 5, 7]]), max_order=3)
         assert verify_tp(RatMatrix([[1, 2, 3, 4], [1, 3, 5, 7]]), max_order=2) is None
 
+    def test_exhaustive_scan_calls_det_once_per_minor(self, monkeypatch):
+        # the 8x8 power-sum matrix with k = 5 is TP_5, so verify_tp(A, 5) reads
+        # every minor of orders 1..5 through det: sum of C(8, r)^2 = 12,020 calls
+        A = power_sum_matrix([F(j, 2) for j in range(1, 9)], [F(9 - i, 3) for i in range(8)], 5)
+        calls = 0
+
+        def counted_det(M, det=exact.det):
+            nonlocal calls
+            calls += 1
+            return det(M)
+
+        monkeypatch.setattr(exact, "det", counted_det)
+        assert verify_tp(A, 5) is None
+        assert calls == sum(comb(8, r) ** 2 for r in range(1, 6)) == 12020
+
     def test_ok_implies_sampled_minors_positive(self):
         # the k=2 power-sum matrix is TP_2; spot-check individual 2x2 minors
         A = power_sum_matrix(range(1, 6), range(5, 0, -1), 2)
@@ -302,6 +333,36 @@ class TestSubmatrix:
         assert sub == built and hash(sub) == hash(built)
         assert (sub.rows, sub.cols) == (len(I), len(J))
         assert sub.submatrix((1,), (1,)) == RatMatrix([[A.entries[I[0] - 1][J[0] - 1]]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_nested_selection_matches_fresh_build(self, r, c, data):
+        """A chain of one to three submatrix calls, each inheriting the cleared
+        rows and row scales of the one before, reads like a RatMatrix built
+        from the same entries: its det (before its entries are read), entries,
+        shape, repr, == and hash."""
+        entry = st.one_of(st.just(F(0)), rationals)
+        rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                  min_size=r, max_size=r))
+        sub, plain = RatMatrix(rows), rows
+        for _ in range(data.draw(st.integers(1, 3))):
+            I = sorted(data.draw(st.sets(st.integers(1, len(plain)), min_size=1)))
+            J = sorted(data.draw(st.sets(st.integers(1, len(plain[0])), min_size=1)))
+            sub = sub.submatrix(I, J)
+            plain = [[plain[i - 1][j - 1] for j in J] for i in I]
+        built = RatMatrix(plain)
+        if len(plain) == len(plain[0]):
+            assert det(sub) == det(built) == cof_det(plain)
+        else:
+            shape = "%dx%d" % (len(plain), len(plain[0]))
+            for M in (sub, built):
+                with pytest.raises(ValueError,
+                                   match="^determinant requires a square matrix, got %s$" % shape):
+                    det(M)
+        assert sub.entries == built.entries == tuple(map(tuple, plain))
+        assert (sub.rows, sub.cols) == (built.rows, built.cols)
+        assert repr(sub) == repr(built)
+        assert sub == built and built == sub and hash(sub) == hash(built)
 
 
 class TestScaleToUnit:
