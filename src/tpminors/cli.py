@@ -44,7 +44,7 @@ def _frac_list(s):
     return [x.strip() for x in s.split(",") if x.strip()]
 
 
-# the flags each construct target reads, beside --seed, --out and --format
+# the flags each construct target reads, beside --seed and --out
 _CONSTRUCT_FLAGS = {"grid": ("n",), "power-sum": ("a", "b", "n", "k"),
                     "elekes": ("N", "canonical"), "tp2xn": ("N",)}
 
@@ -180,7 +180,8 @@ def _add_global_flags(parser, suppress=False):
 
     parser.add_argument("--seed", type=int, default=default(0))
     parser.add_argument("--out", default=default(None), help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=default("csv"))
+    parser.add_argument("--format", choices=("csv", "json"), default=default(None),
+                        help="census and scan only (default csv)")
 
 
 def build_parser():
@@ -273,6 +274,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_signed_values(argv))
     try:
+        if args.format is not None and args.cmd not in ("census", "scan"):
+            raise ValueError("%s takes no --format" % args.cmd)
         return args.func(args)
     # JSONDecodeError is a ValueError, so it is caught first
     except (OSError, json.JSONDecodeError) as e:

@@ -24,9 +24,10 @@ from .exact import RatMatrix, clear_denominators, det_int, rat
 def minor_census(A: RatMatrix, k: int):
     """Exact multiset of all k x k minor values of A, as a pair (counts, D).
 
-    Denominators are cleared once, on the axis with narrower integers (rows
-    on a tie; for columns, on the transpose: det M = det M^T).  The shape of
-    the cleared matrix picks the loop:
+    The loops read A's one cleared form, whose lines are rows or columns,
+    whichever clear to narrower integers: the census of M^T is the census of
+    M, so orientation does not matter.  The shape of the cleared lines picks
+    the loop:
 
     - exactly k wide (the d x d minors of a d x n matrix, cleared by
       columns): each minor v/s has its own scale product s, so D is None and
@@ -43,9 +44,7 @@ def minor_census(A: RatMatrix, k: int):
         raise ValueError("minor order must be a positive integer")
     if k > min(A.rows, A.cols):
         raise ValueError("order %d exceeds matrix dimensions %dx%d" % (k, A.rows, A.cols))
-    int_rows, scales = min(
-        A._clear(), clear_denominators(zip(*A.entries)),
-        key=lambda cleared: max(abs(x).bit_length() for row in cleared[0] for x in row))
+    int_rows, scales, _ = A._cleared
     if len(int_rows[0]) == k:
         # v/s as (v // g, s // g), g = gcd(v, s) > 0 since s > 0: one key per value
         dets, dets_ = tee(map(det_int, combinations(int_rows, k)))

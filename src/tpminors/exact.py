@@ -1,9 +1,9 @@
 """Exact rational matrices: determinants, minors, and total-positivity checks.
 
 Every scalar is a reduced ``fractions.Fraction``, so equality of minor values
-is a genuine exact predicate.  A matrix clears its denominators once; a
-submatrix inherits its cleared rows and row scales, and builds its Fraction
-entries only when they are read.  Floating point is rejected at the boundary.
+is a genuine exact predicate.  A matrix clears its denominators once, on the
+axis with narrower integers; determinants, censuses and submatrices read that
+form, and Fractions are built only when read.  Floating point is rejected.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ def check_index_tuple(t, bound, name="index tuple"):
 
 
 class RatMatrix:
-    """Immutable dense matrix of exact rationals (row-major).  ``_clear`` clears
-    its denominators once; a submatrix from ``_select`` inherits that pair of
-    int rows and row scales, and its Fraction ``_rows`` stay None until read."""
+    """Immutable dense matrix of exact rationals (row-major).  ``_cleared`` is
+    (int lines, scales, by_cols): its rows, or its columns if narrower, cleared
+    once; ``_select`` passes it to a submatrix, whose ``_rows`` stay None until read."""
 
     __slots__ = ("_rows", "_cleared")
 
@@ -63,7 +63,9 @@ class RatMatrix:
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
         self._rows = data
-        self._cleared = None
+        self._cleared = min(
+            (*clear_denominators(data), False), (*clear_denominators(zip(*data)), True),
+            key=lambda cleared: max(abs(x).bit_length() for line in cleared[0] for x in line))
 
     @property
     def rows(self):
@@ -76,13 +78,10 @@ class RatMatrix:
     @property
     def entries(self):
         if self._rows is None:
-            self._rows = tuple(tuple(Fraction(v, s) for v in r) for r, s in zip(*self._cleared))
+            lines, scales, by_cols = self._cleared
+            fracs = tuple(tuple(Fraction(v, s) for v in line) for line, s in zip(lines, scales))
+            self._rows = tuple(zip(*fracs)) if by_cols else fracs
         return self._rows
-
-    def _clear(self):
-        if self._cleared is None:
-            self._cleared = clear_denominators(self._rows)
-        return self._cleared
 
     def submatrix(self, I, J):
         """Submatrix A_{I,J} selected by 1-based strictly increasing tuples."""
@@ -91,11 +90,13 @@ class RatMatrix:
 
     def _select(self, I, J):
         """A_{I,J} for index tuples already known to be valid."""
-        # a row keeps its scale, perhaps above the lcm of the selected entries
-        ints, scales = self._clear()
+        # a line keeps its scale, perhaps above the lcm of the selected entries
+        lines, scales, by_cols = self._cleared
+        I, J = (J, I) if by_cols else (I, J)
         sub = RatMatrix.__new__(RatMatrix)
         sub._rows = None
-        sub._cleared = [[ints[i - 1][j - 1] for j in J] for i in I], [scales[i - 1] for i in I]
+        sub._cleared = ([[lines[i - 1][j - 1] for j in J] for i in I],
+                        [scales[i - 1] for i in I], by_cols)
         return sub
 
     def __eq__(self, other):
@@ -187,12 +188,11 @@ def det_int(m):
 
 
 def det(M: RatMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix, read from its cleared form."""
-    int_rows, scales = M._clear()
-    if len(int_rows) != len(int_rows[0]):
-        raise ValueError("determinant requires a square matrix, got %dx%d"
-                         % (len(int_rows), len(int_rows[0])))
-    return Fraction(det_int(int_rows), prod(scales))
+    """Exact determinant of a square rational matrix, from its cleared rows or columns."""
+    lines, scales, _ = M._cleared
+    if len(lines) != len(lines[0]):
+        raise ValueError("determinant requires a square matrix, got %dx%d" % (M.rows, M.cols))
+    return Fraction(det_int(lines), prod(scales))
 
 
 def minor(A: RatMatrix, I, J) -> Fraction:

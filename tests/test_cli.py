@@ -215,7 +215,26 @@ class TestGlobalFlags:
 
     def test_defaults(self):
         args = build_parser().parse_args(["construct", "grid"])
-        assert (args.seed, args.out, args.format) == (0, None, "csv")
+        assert (args.seed, args.out, args.format) == (0, None, None)
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "grid", "--n", "3"],
+        ["verify"],
+        ["count-equal", "--order", "2"],
+        ["rects"],
+        ["mu"],
+        ["check-st", "--m", "1", "--n", "1", "--incidences", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_rejected_where_unread(self, tmp_path, capsys, argv, fmt):
+        """Only census and scan read --format; the rest reject it, before or
+        after the subcommand, before reading input or writing --out."""
+        out = tmp_path / "out.txt"
+        for full in (["--format", fmt, "--out", str(out), *argv],
+                     [*argv, "--out", str(out), "--format", fmt]):
+            code, stdout, err = run(capsys, *full)
+            assert (code, stdout, err) == (1, "", "error: %s takes no --format\n" % argv[0])
+            assert not out.exists()
 
     def test_readme_grid_example(self, tmp_path, capsys):
         mat = tmp_path / "grid.txt"

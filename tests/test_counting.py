@@ -21,6 +21,7 @@ from tpminors import (
     RatMatrix,
     canonicalize_config,
     count_minors_equal,
+    det,
     elekes_config,
     grid_area_counts,
     grid_matrix,
@@ -33,8 +34,9 @@ from tpminors import (
     point_line_incidences,
     power_sum_matrix,
     unit_rectangles,
+    verify_tp,
 )
-from tpminors import counting
+from tpminors import counting, exact
 from tpminors.counting import census_to_csv, census_to_json
 from tpminors.exact import clear_denominators, det_int, rat
 
@@ -200,8 +202,10 @@ class TestCensusAgainstOracle:
         for k in range(1, min(A.rows, A.cols) + 1):
             assert fraction_census(minor_census(A, k)) == census_oracle(A, k)
 
-    def operand_bits(self, monkeypatch, A, k):
-        """Census of A and the widest integer handed to det_int."""
+    @staticmethod
+    def det_int_widths(monkeypatch):
+        """The list to which every det_int call, from the census or from det,
+        appends the bit length of its widest operand."""
         widths = []
 
         def recording(m):
@@ -209,7 +213,8 @@ class TestCensusAgainstOracle:
             return det_int(m)
 
         monkeypatch.setattr(counting, "det_int", recording)
-        return fraction_census(minor_census(A, k)), max(widths)
+        monkeypatch.setattr(exact, "det_int", recording)
+        return widths
 
     # column denominators 7, 11, 13: per column the integers stay below 16,
     # per row they are multiplied by up to 13 * 11
@@ -219,13 +224,25 @@ class TestCensusAgainstOracle:
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["column-axis", "row-axis"])
     def test_narrower_axis_is_cleared(self, monkeypatch, transpose):
+        """The census, det on every square submatrix and verify_tp all read
+        the one form cleared on the narrower axis."""
         rows = [list(r) for r in zip(*self.COLS)] if transpose else self.COLS
         A = RatMatrix(rows)
+        widths = self.det_int_widths(monkeypatch)
+        first_nonpositive = None
         for k in (1, 2, 3):
-            census, bits = self.operand_bits(monkeypatch, A, k)
-            assert census == census_oracle(A, k)
-            assert bits <= 4  # the integers 1..9, never scaled by another axis
-
+            assert fraction_census(minor_census(A, k)) == census_oracle(A, k)
+            by_det = Counter()
+            for I in combinations(range(1, A.rows + 1), k):
+                for J in combinations(range(1, A.cols + 1), k):
+                    v = det(A.submatrix(I, J))
+                    by_det[v] += 1
+                    if v <= 0 and first_nonpositive is None:
+                        first_nonpositive = (k, I, J, v)
+            assert by_det == census_oracle(A, k)
+        assert first_nonpositive is not None
+        assert verify_tp(A) == first_nonpositive
+        assert widths and max(widths) <= 4  # the integers 1..9, never scaled by another axis
 
     @settings(max_examples=200, deadline=None)
     @given(wide_matrices())

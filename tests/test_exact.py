@@ -63,16 +63,31 @@ class TestDet:
         A = RatMatrix(rows)
         assert det(A) == cof_det([list(r) for r in A.entries]) != 0
 
-    def test_bareiss_on_inherited_row_scales(self):
-        # columns 2 and 5 of the 9x9 carry denominator 7; the 7x7 submatrix drops
-        # them but inherits row scales that still hold it, so Bareiss runs on
-        # integer rows that are not the minimal ones
-        rows = [[F(i * j + i + 2 * j + 1 + (i == j), 7 if j in (1, 4) else 1 + (i + j) % 3)
+    @staticmethod
+    def bareiss_on_inherited_scales(transpose):
+        # columns 2 and 5 of the 9x9 carry denominator 7 and row i carries P[i]
+        # elsewhere, so rows clear narrower (scales 7 * P[i]) than columns (scale
+        # 30); the 7x7 submatrix drops columns 2 and 5 but inherits row scales
+        # that still hold the 7, so Bareiss runs on lines that are not the
+        # minimal ones.  Transposed, the same holds for inherited column scales.
+        P = (1, 2, 3, 5, 1, 2, 3, 5, 1)
+        rows = [[F(i * j + i + 2 * j + 1 + (i == j), 7 if j in (1, 4) else P[i])
                  for j in range(9)] for i in range(9)]
-        sub = RatMatrix(rows).submatrix((1, 2, 3, 5, 6, 8, 9), (1, 3, 4, 6, 7, 8, 9))
+        I, J = (1, 2, 3, 5, 6, 8, 9), (1, 3, 4, 6, 7, 8, 9)
+        if transpose:
+            rows, I, J = [list(r) for r in zip(*rows)], J, I
+        sub = RatMatrix(rows).submatrix(I, J)
         value = det(sub)
-        assert sub._cleared[1] != clear_denominators(sub.entries)[1]
+        _, scales, by_cols = sub._cleared
+        assert by_cols is transpose
+        assert scales != clear_denominators(zip(*sub.entries) if by_cols else sub.entries)[1]
         assert value == cof_det([list(r) for r in sub.entries]) != 0
+
+    def test_bareiss_on_inherited_row_scales(self):
+        self.bareiss_on_inherited_scales(transpose=False)
+
+    def test_bareiss_on_inherited_column_scales(self):
+        self.bareiss_on_inherited_scales(transpose=True)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -338,31 +353,44 @@ class TestSubmatrix:
     @given(st.integers(1, 6), st.integers(1, 6), st.data())
     def test_nested_selection_matches_fresh_build(self, r, c, data):
         """A chain of one to three submatrix calls, each inheriting the cleared
-        rows and row scales of the one before, reads like a RatMatrix built
-        from the same entries: its det (before its entries are read), entries,
-        shape, repr, == and hash."""
+        lines, line scales and axis of the one before, reads like a RatMatrix
+        built from the same entries: its det (before its entries are read),
+        entries, shape, repr, == and hash.  Chains run from the drawn parent
+        and from its transpose, so one parent is held by rows and the other by
+        columns, unless both axes clear to integers of equal width."""
         entry = st.one_of(st.just(F(0)), rationals)
         rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                                   min_size=r, max_size=r))
-        sub, plain = RatMatrix(rows), rows
-        for _ in range(data.draw(st.integers(1, 3))):
-            I = sorted(data.draw(st.sets(st.integers(1, len(plain)), min_size=1)))
-            J = sorted(data.draw(st.sets(st.integers(1, len(plain[0])), min_size=1)))
-            sub = sub.submatrix(I, J)
-            plain = [[plain[i - 1][j - 1] for j in J] for i in I]
-        built = RatMatrix(plain)
-        if len(plain) == len(plain[0]):
-            assert det(sub) == det(built) == cof_det(plain)
-        else:
-            shape = "%dx%d" % (len(plain), len(plain[0]))
-            for M in (sub, built):
-                with pytest.raises(ValueError,
-                                   match="^determinant requires a square matrix, got %s$" % shape):
-                    det(M)
-        assert sub.entries == built.entries == tuple(map(tuple, plain))
-        assert (sub.rows, sub.cols) == (built.rows, built.cols)
-        assert repr(sub) == repr(built)
-        assert sub == built and built == sub and hash(sub) == hash(built)
+
+        def bits(m):
+            return max(abs(x).bit_length() for line in clear_denominators(m)[0] for x in line)
+
+        axes = set()
+        for parent in (rows, [list(col) for col in zip(*rows)]):
+            sub, plain = RatMatrix(parent), parent
+            by_cols = sub._cleared[2]
+            assert by_cols is (bits(zip(*parent)) < bits(parent))
+            axes.add(by_cols)
+            for _ in range(data.draw(st.integers(1, 3))):
+                I = sorted(data.draw(st.sets(st.integers(1, len(plain)), min_size=1)))
+                J = sorted(data.draw(st.sets(st.integers(1, len(plain[0])), min_size=1)))
+                sub = sub.submatrix(I, J)
+                plain = [[plain[i - 1][j - 1] for j in J] for i in I]
+            assert sub._cleared[2] is by_cols
+            built = RatMatrix(plain)
+            if len(plain) == len(plain[0]):
+                assert det(sub) == det(built) == cof_det(plain)
+            else:
+                shape = "%dx%d" % (len(plain), len(plain[0]))
+                for M in (sub, built):
+                    with pytest.raises(ValueError, match="^determinant requires a square "
+                                                         "matrix, got %s$" % shape):
+                        det(M)
+            assert sub.entries == built.entries == tuple(map(tuple, plain))
+            assert (sub.rows, sub.cols) == (built.rows, built.cols)
+            assert repr(sub) == repr(built)
+            assert sub == built and built == sub and hash(sub) == hash(built)
+        assert axes == {False, True} or bits(rows) == bits(zip(*rows))
 
 
 class TestScaleToUnit:
