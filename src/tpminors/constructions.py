@@ -15,15 +15,19 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import comb, gcd
 
-from .exact import RatMatrix, clear_denominators, det, det_int, rat, verify_tp_contiguous
+from .exact import RatMatrix, clear_denominators, det, rat, verify_tp_contiguous
 # verify_tp is not called here; perfbench/layers.py wraps it at this lookup site
 from .exact import verify_tp  # noqa: F401
 # canonicalize_config calls det_int3 once per attempt (its singularity test);
 # perfbench/layers.py wraps this name to count the attempts
 from .exact import det_int as det_int3
+
+# orders integer pairs (p, q), q > 0, as the rationals p/q, by cross-multiplication
+_BY_RATIO = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
 @dataclass(frozen=True)
@@ -137,62 +141,74 @@ def check_constraints(cfg: IncidenceConfig) -> list:
     4 every two points linearly independent; 5 no origin-parallel translate of
     a line passes through a point; 6 all points strictly in the first quadrant.
 
-    Constraints 1, 4 and 5 are found by grouping on exact keys (line slopes,
-    point directions y/x from the origin), so only colliding groups are
-    enumerated; each constraint lists its index pairs in sorted order.
+    Constraints 1, 4 and 5 are found by grouping on exact integer keys (line
+    slopes and point directions y/x from the origin, as reduced (p, q), q > 0),
+    so only colliding groups are enumerated; each lists its pairs in order.
     """
     violations = []
     lines = cfg.lines
     points = cfg.points
     by_slope = defaultdict(list)
     for i, l in enumerate(lines):
-        by_slope[l.m].append(i)
+        by_slope[l.m.numerator, l.m.denominator].append(i)
     parallel = sorted(pair for group in by_slope.values() for pair in combinations(group, 2))
     violations += [(1, pair) for pair in parallel]
     for i, l in enumerate(lines):
-        if l.m <= 0:
+        if l.m.numerator <= 0:
             violations.append((2, (i,)))
-        if l.c <= 0:
+        if l.c.numerator <= 0:
             violations.append((3, (i,)))
     # the origin is dependent on every point and lies on every origin-parallel
     # line; any other point is keyed by its direction, None for x = 0
     origins = []
     by_direction = defaultdict(list)
     for j, p in enumerate(points):
-        if p.x == 0 and p.y == 0:
-            origins.append(j)
+        if p.x.numerator:
+            n, d = p.y.numerator * p.x.denominator, p.x.numerator * p.y.denominator
+            g = gcd(n, d) if d > 0 else -gcd(n, d)
+            by_direction[n // g, d // g].append(j)
+        elif p.y.numerator:
+            by_direction[None].append(j)
         else:
-            by_direction[p.y / p.x if p.x else None].append(j)
+            origins.append(j)
     dependent = {pair for group in by_direction.values() for pair in combinations(group, 2)}
     for o in origins:
         dependent.update((min(o, j), max(o, j)) for j in range(len(points)) if j != o)
     violations += [(4, pair) for pair in sorted(dependent)]
     for i, l in enumerate(lines):
-        for j in sorted(by_direction.get(l.m, []) + origins):
+        for j in sorted(by_direction.get((l.m.numerator, l.m.denominator), []) + origins):
             violations.append((5, (i, j)))
     for j, p in enumerate(points):
-        if p.x <= 0 or p.y <= 0:
+        if p.x.numerator <= 0 or p.y.numerator <= 0:
             violations.append((6, (j,)))
     return violations
 
 
 def _place(imgs, line_imgs) -> IncidenceConfig:
-    """Dehomogenize integer point and line images, then shear and translate
-    them into the first quadrant with positive slopes and intercepts."""
-    pts = [(Fraction(X, Z), Fraction(Y, Z)) for X, Y, Z in imgs]
-    lines = [(Fraction(-A, B), Fraction(-C, B)) for A, B, C in line_imgs]
+    """Shear and translate the points (X/Z, Y/Z) and lines Ax + By + C = 0 of integer
+    images into the first quadrant with positive slopes and intercepts; the shear
+    and translation are found in integers, and each coordinate is one Fraction."""
+    # (x, y, Z): the point (x/Z, y/Z); (m, c, B): slope m/B, intercept c/B; Z, B > 0
+    pts = [(X, Y, Z) if Z > 0 else (-X, -Y, -Z) for X, Y, Z in imgs]
+    lines = [(-A, -C, B) if B > 0 else (A, C, -B) for A, B, C in line_imgs]
     # shear y -> y + t*x pushes every slope above zero, then translate by
     # (u, v) into the first quadrant with positive intercepts
-    min_m = min((m for m, _ in lines), default=1)
-    t = 1 - min_m if min_m <= 0 else 0
-    min_x = min((x for x, _ in pts), default=1)
-    u = 1 - min_x if min_x <= 0 else 0
-    min_y = min((y + t * x for x, y in pts), default=1)
-    v = max([-min_y] + [(m + t) * u - c for m, c in lines]) + 1
+    p, q = min(((m, B) for m, _, B in lines), key=_BY_RATIO, default=(1, 1))
+    tn, td = (q - p, q) if p <= 0 else (0, 1)
+    pts = [(x * td, y * td + tn * x, Z * td) for x, y, Z in pts]
+    lines = [(m * td + tn * B, c * td, B * td) for m, c, B in lines]
+    p, q = min(((x, Z) for x, _, Z in pts), key=_BY_RATIO, default=(1, 1))
+    un, ud = (q - p, q) if p <= 0 else (0, 1)
+    # v = 1 + max(-(least y), m*u - c over the lines)
+    p, q = min([min(((y, Z) for _, y, Z in pts), key=_BY_RATIO, default=(1, 1))]
+               + [(c * ud - m * un, B * ud) for m, c, B in lines], key=_BY_RATIO)
+    vn, vd = q - p, q
     # a nonsingular map, shear and translation keep points and lines distinct
     return IncidenceConfig(
-        tuple(Point2(x + u, y + t * x + v) for x, y in pts),
-        tuple(Line2(m + t, c + v - (m + t) * u) for m, c in lines),
+        tuple(Point2(Fraction(x * ud + un * Z, Z * ud), Fraction(y * vd + vn * Z, Z * vd))
+              for x, y, Z in pts),
+        tuple(Line2(Fraction(m, B), Fraction((c * ud - m * un) * vd + vn * B * ud, B * ud * vd))
+              for m, c, B in lines),
     )
 
 
@@ -206,13 +222,13 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
     singular, if its vanishing line meets a point (an image with third
     coordinate 0), if a line comes out vertical, or if two lines come out
     parallel (constraint 1; lines whose crossing the map sends to infinity).
-    Lines map by the adjugate of M, and all four tests run in integers;
-    rationals appear only when an attempt that passes them is dehomogenized.
-    One shear and translation then make slopes, intercepts and point
-    coordinates positive.  check_constraints is the one full test on every
-    candidate so built, and a violation triggers a retry.  Deterministic
-    given (cfg, seed); raises after ``budget`` attempts, with the violations
-    of the last attempt that got past the vertical-line test as ``last_report``.
+    Lines map by the adjugate of M, and all four tests run in integers, as
+    does the shear and translation (_place) that then makes slopes, intercepts
+    and point coordinates positive: Fractions are built only for the placed
+    coordinates.  check_constraints is the one full test on every candidate so
+    built, and a violation triggers a retry.  Deterministic given (cfg, seed);
+    raises after ``budget`` attempts, with the violations of the last attempt
+    that got past the vertical-line test as ``last_report``.
     """
     rng = random.Random(seed)
     point_vecs, _ = clear_denominators((p.x, p.y, 1) for p in cfg.points)
@@ -222,24 +238,26 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
         M = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
         if det_int3(M) == 0:
             continue
+        (a, b, c), (d, e, f), (g, h, k) = M
         # vanishing-line test: nothing we care about may map to infinity
-        imgs = [[r[0] * X + r[1] * Y + r[2] * Z for r in M] for X, Y, Z in point_vecs]
-        if any(w[2] == 0 for w in imgs):
+        if any(g * X + h * Y + k * Z == 0 for X, Y, Z in point_vecs):
             continue
-        # line vectors transform by the adjugate (inverse up to scale): entry
-        # (i, j) is (-1)^(i+j) times the minor of M without row j and column i
-        adj = [[(-1) ** (i + j) * det_int([[M[r][c] for c in range(3) if c != i]
-                                            for r in range(3) if r != j])
-                for j in range(3)] for i in range(3)]
-        line_imgs = [[sum(v[i] * adj[i][j] for i in range(3)) for j in range(3)]
-                     for v in line_vecs]
+        imgs = [(a * X + b * Y + c * Z, d * X + e * Y + f * Z, g * X + h * Y + k * Z)
+                for X, Y, Z in point_vecs]
+        # lines map by the adjugate of M (its inverse up to scale): v -> cof(M) v
+        (A0, A1, A2), (B0, B1, B2), (C0, C1, C2) = (
+            (e * k - f * h, f * g - d * k, d * h - e * g),
+            (c * h - b * k, a * k - c * g, b * g - a * h),
+            (b * f - c * e, c * d - a * f, a * e - b * d))
+        line_imgs = [(A0 * P + A1 * Q + A2 * R, B0 * P + B1 * Q + B2 * R,
+                      C0 * P + C1 * Q + C2 * R) for P, Q, R in line_vecs]
         if any(B == 0 for _, B, _ in line_imgs):
             continue
         last = imgs, line_imgs
         # parallel lines (constraint 1) stay parallel under the shear and
         # translation: equal slopes -A/B, keyed by (A, B) reduced with B > 0
-        slopes = {(A // g, B // g) for A, B, _ in line_imgs
-                  for g in [gcd(A, B) if B > 0 else -gcd(A, B)]}
+        slopes = {(A // n, B // n) for A, B, _ in line_imgs
+                  for n in [gcd(A, B) if B > 0 else -gcd(A, B)]}
         if len(slopes) < len(line_imgs):
             continue
         candidate = _place(imgs, line_imgs)
@@ -255,12 +273,12 @@ def assemble_tp_2xn(cfg: IncidenceConfig) -> RatMatrix:
     """Assemble the 2x|Q| TP matrix from a canonical configuration.
 
     Q is the point set together with one mate point per line, sorted by
-    slope through the origin; the constraints make those slopes distinct.
-    The count of 2x2 minors equal to 1 is at least the incidence count of
-    cfg, one unit minor per incidence via the mate-point identity.  Total
-    positivity is certified by the solid-minor criterion
-    (verify_tp_contiguous: the 2n entries and the n-1 adjacent-column 2x2
-    minors), whose witness equals the exhaustive verify_tp's.
+    slope through the origin, compared in integers; the constraints make the
+    slopes distinct.  The count of 2x2 minors equal to 1 is at least the
+    incidence count of cfg, one unit minor per incidence via the mate-point
+    identity.  Total positivity is certified in integers by the solid-minor
+    criterion (verify_tp_contiguous: the 2n entries and the n-1 adjacent-column
+    2x2 minors), whose witness equals the exhaustive verify_tp's.
     """
     violations = check_constraints(cfg)
     if violations:
@@ -268,7 +286,8 @@ def assemble_tp_2xn(cfg: IncidenceConfig) -> RatMatrix:
             "configuration violates canonical constraints: %r" % violations[:5]
         )
     Q = list(cfg.points) + [mate_point(l) for l in cfg.lines]
-    Q.sort(key=lambda p: p.y / p.x)
+    Q.sort(key=lambda p: _BY_RATIO((p.y.numerator * p.x.denominator,
+                                    p.x.numerator * p.y.denominator)))
     A = RatMatrix([[p.x for p in Q], [p.y for p in Q]])
     witness = verify_tp_contiguous(A)
     if witness is not None:

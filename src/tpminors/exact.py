@@ -208,18 +208,13 @@ def minor(A: RatMatrix, I, J) -> Fraction:
 # total positivity
 
 
-def _windows(indices, k):
-    """The runs of k consecutive indices: the index tuples of solid minors."""
-    return [tuple(indices[s:s + k]) for s in range(len(indices) - k + 1)]
-
-
-def _first_nonpositive(A: RatMatrix, orders, subsets=combinations):
-    """The lexicographically first non-positive minor of the given orders, by
-    ``subsets``, as ``(order, I, J, value)``; None when there is none."""
+def _first_nonpositive(A: RatMatrix, orders):
+    """The lexicographically first non-positive minor of the given orders, as
+    ``(order, I, J, value)``; None when there is none."""
     rows, cols = range(1, A.rows + 1), range(1, A.cols + 1)
     for k in orders:
-        for I in subsets(rows, k):
-            for J in subsets(cols, k):
+        for I in combinations(rows, k):
+            for J in combinations(cols, k):
                 v = det(A._select(I, J))  # subsets of valid ranges: no re-check
                 if v <= 0:
                     return k, I, J, v
@@ -247,12 +242,18 @@ def verify_tp_contiguous(A: RatMatrix):
 
     By Fekete's solid-minor criterion, positivity of all minors of orders
     1..k on consecutive row and column windows implies that every minor of
-    order at most k is positive.  So when a solid minor of order k fails,
-    every minor below order k is positive, and a scan of order k alone names
-    the witness verify_tp names: the two results are equal.
+    order at most k is positive.  The solid minors are scanned on the cleared
+    integer lines of A, whose scales are positive: each has the sign of its
+    integer determinant.  When a solid minor of order k fails, every minor
+    below order k is positive, and a scan of order k alone names the witness
+    verify_tp names: the two results are equal.
     """
-    solid = _first_nonpositive(A, range(1, min(A.rows, A.cols) + 1), _windows)
-    return None if solid is None else _first_nonpositive(A, (solid[0],))
+    lines = A._cleared[0]
+    for k in range(1, min(len(lines), len(lines[0])) + 1):
+        if any(det_int([line[s:s + k] for line in lines[r:r + k]]) <= 0
+               for r in range(len(lines) - k + 1) for s in range(len(lines[0]) - k + 1)):
+            return _first_nonpositive(A, (k,))
+    return None
 
 
 def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:

@@ -162,6 +162,9 @@ def _invocations():
             add(["--seed", str(seed), "construct", "elekes", "--N", str(N), "--canonical"])
             add(["--seed", str(seed), "construct", "tp2xn", "--N", str(N)])
     add(["construct", "elekes", "--N", "2", "--canonical", "--seed", "5"])
+    add(["--seed", "0", "construct", "tp2xn", "--N", "6"])
+    add(["--seed", "0", "construct", "elekes", "--N", "6", "--canonical"])
+    add(["--seed", "7", "construct", "tp2xn", "--N", "5"])
     add(["--out", "-", "construct", "tp2xn"])
     add(["construct", "grid"])
     add(["construct", "grid", "--n", "1"])
@@ -241,6 +244,7 @@ def _invocations():
         add(["--format", fmt, "scan", "--family", "grid", "--sizes", "2,3,4,5"])
         add(["--format", fmt, "scan", "--family", "power-sum", "--sizes", "2,3,4,5"])
     add(["--seed", "42", "scan", "--family", "elekes-2xn", "--sizes", "2,3,4,5"])
+    add(["--seed", "42", "scan", "--family", "elekes-2xn", "--sizes", "2,3,4,5,6,7"])
     add(["scan", "--family", "random-points", "--sizes", "20,40,80", "--area", "1/2"])
     add(["scan", "--family", "random-points", "--sizes", "0,1,2"])
     add(["--format", "json", "scan", "--family", "random-points", "--sizes", "0,1,2"])

@@ -295,16 +295,23 @@ class TestContiguousCriterion:
         want = verify_tp(A)
         orders = []
 
-        def counted_det(M, det=exact.det):
-            orders.append(M.rows)
-            return det(M)
+        def counted_det_int(m, det_int=exact.det_int):
+            orders.append(len(m))
+            return det_int(m)
 
-        monkeypatch.setattr(exact, "det", counted_det)
+        # the solid scan and the witness scan's det both evaluate through det_int
+        monkeypatch.setattr(exact, "det_int", counted_det_int)
         assert verify_tp_contiguous(A) == want and want[0] == 4
         # below order 4 only the solid minors, (10 - r)^2 of order r, are
         # evaluated (194 where an exhaustive scan takes 8,433), and none after order 4
         assert sum(r < 4 for r in orders) == sum((10 - r) ** 2 for r in range(1, 4))
         assert orders == sorted(orders)
+        # the Vandermonde itself is TP, and is certified on its cleared
+        # integers alone: no det call
+        dets = []
+        monkeypatch.setattr(exact, "det", lambda M, det=exact.det: dets.append(M) or det(M))
+        rows[8][0] = F(1)
+        assert verify_tp_contiguous(RatMatrix(rows)) is None and dets == []
 
 
 class TestContiguousOnSlopeSorted:
