@@ -184,11 +184,14 @@ def check_constraints(cfg: IncidenceConfig) -> list:
     return violations
 
 
-def _place(imgs, line_imgs) -> IncidenceConfig:
-    """Shear and translate the points (X/Z, Y/Z) and lines Ax + By + C = 0 of integer
-    images into the first quadrant with positive slopes and intercepts; the shear
-    and translation are found in integers, and each coordinate is one Fraction."""
-    # (x, y, Z): the point (x/Z, y/Z); (m, c, B): slope m/B, intercept c/B; Z, B > 0
+def _place(point_vecs, M, line_imgs) -> IncidenceConfig:
+    """Map the integer points (X, Y, Z) by M, then shear and translate them and the
+    line images Ax + By + C = 0 into the first quadrant with positive slopes and
+    intercepts, all in integers; each placed coordinate is one Fraction."""
+    (a, b, c), (d, e, f), (g, h, k) = M
+    imgs = ((a * X + b * Y + c * Z, d * X + e * Y + f * Z, g * X + h * Y + k * Z)
+            for X, Y, Z in point_vecs)
+    # (x, y, Z): the point (x/Z, y/Z); (m, n, B): slope m/B, intercept n/B; Z, B > 0
     pts = [(X, Y, Z) if Z > 0 else (-X, -Y, -Z) for X, Y, Z in imgs]
     lines = [(-A, -C, B) if B > 0 else (A, C, -B) for A, B, C in line_imgs]
     # shear y -> y + t*x pushes every slope above zero, then translate by
@@ -196,19 +199,19 @@ def _place(imgs, line_imgs) -> IncidenceConfig:
     p, q = min(((m, B) for m, _, B in lines), key=_BY_RATIO, default=(1, 1))
     tn, td = (q - p, q) if p <= 0 else (0, 1)
     pts = [(x * td, y * td + tn * x, Z * td) for x, y, Z in pts]
-    lines = [(m * td + tn * B, c * td, B * td) for m, c, B in lines]
+    lines = [(m * td + tn * B, n * td, B * td) for m, n, B in lines]
     p, q = min(((x, Z) for x, _, Z in pts), key=_BY_RATIO, default=(1, 1))
     un, ud = (q - p, q) if p <= 0 else (0, 1)
-    # v = 1 + max(-(least y), m*u - c over the lines)
+    # v = 1 + max(-(least y), m*u - n over the lines)
     p, q = min([min(((y, Z) for _, y, Z in pts), key=_BY_RATIO, default=(1, 1))]
-               + [(c * ud - m * un, B * ud) for m, c, B in lines], key=_BY_RATIO)
+               + [(n * ud - m * un, B * ud) for m, n, B in lines], key=_BY_RATIO)
     vn, vd = q - p, q
     # a nonsingular map, shear and translation keep points and lines distinct
     return IncidenceConfig(
         tuple(Point2(Fraction(x * ud + un * Z, Z * ud), Fraction(y * vd + vn * Z, Z * vd))
               for x, y, Z in pts),
-        tuple(Line2(Fraction(m, B), Fraction((c * ud - m * un) * vd + vn * B * ud, B * ud * vd))
-              for m, c, B in lines),
+        tuple(Line2(Fraction(m, B), Fraction((n * ud - m * un) * vd + vn * B * ud, B * ud * vd))
+              for m, n, B in lines),
     )
 
 
@@ -218,22 +221,19 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
     The incidence graph is preserved bijectively and the result passes
     check_constraints with no violations.  Points (x, y, 1) and lines
     (-m, 1, -c) are cleared once to integer homogeneous vectors.  Each
-    attempt draws a random integer 3x3 map M; it is rejected if M is
-    singular, if its vanishing line meets a point (an image with third
-    coordinate 0), if a line comes out vertical, or if two lines come out
-    parallel (constraint 1; lines whose crossing the map sends to infinity).
-    Lines map by the adjugate of M, and all four tests run in integers, as
-    does the shear and translation (_place) that then makes slopes, intercepts
-    and point coordinates positive: Fractions are built only for the placed
-    coordinates.  check_constraints is the one full test on every candidate so
-    built, and a violation triggers a retry.  Deterministic given (cfg, seed);
-    raises after ``budget`` attempts, with the violations of the last attempt
-    that got past the vertical-line test as ``last_report``.
+    attempt draws a random integer 3x3 map M, and lines map by its adjugate.
+    In integers, an attempt is rejected if M is singular, if its vanishing
+    line meets a point, if a line comes out vertical, or if two lines come
+    out parallel (constraint 1).  Only then does _place map the points, shear
+    and translate; check_constraints is the one full test of that candidate,
+    and a violation triggers a retry.  Deterministic given (cfg, seed); raises
+    after ``budget`` attempts, with the violations of the last attempt that
+    got past the vertical-line test as ``last_report``.
     """
     rng = random.Random(seed)
     point_vecs, _ = clear_denominators((p.x, p.y, 1) for p in cfg.points)
     line_vecs, _ = clear_denominators((-l.m, 1, -l.c) for l in cfg.lines)
-    last = None  # the integer images of the last attempt past the vertical-line test
+    last = None  # the map and line images of the last attempt past the vertical-line test
     for _ in range(budget):
         M = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
         if det_int3(M) == 0:
@@ -242,8 +242,6 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
         # vanishing-line test: nothing we care about may map to infinity
         if any(g * X + h * Y + k * Z == 0 for X, Y, Z in point_vecs):
             continue
-        imgs = [(a * X + b * Y + c * Z, d * X + e * Y + f * Z, g * X + h * Y + k * Z)
-                for X, Y, Z in point_vecs]
         # lines map by the adjugate of M (its inverse up to scale): v -> cof(M) v
         (A0, A1, A2), (B0, B1, B2), (C0, C1, C2) = (
             (e * k - f * h, f * g - d * k, d * h - e * g),
@@ -253,29 +251,29 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
                       C0 * P + C1 * Q + C2 * R) for P, Q, R in line_vecs]
         if any(B == 0 for _, B, _ in line_imgs):
             continue
-        last = imgs, line_imgs
+        last = M, line_imgs
         # parallel lines (constraint 1) stay parallel under the shear and
         # translation: equal slopes -A/B, keyed by (A, B) reduced with B > 0
         slopes = {(A // n, B // n) for A, B, _ in line_imgs
                   for n in [gcd(A, B) if B > 0 else -gcd(A, B)]}
         if len(slopes) < len(line_imgs):
             continue
-        candidate = _place(imgs, line_imgs)
+        candidate = _place(point_vecs, M, line_imgs)
         if not check_constraints(candidate):
             return candidate
     raise CanonicalizationError(
         "canonicalization failed after %d attempts" % budget,
-        last_report=None if last is None else check_constraints(_place(*last)),
+        last_report=None if last is None else check_constraints(_place(point_vecs, *last)),
     )
 
 
 def assemble_tp_2xn(cfg: IncidenceConfig) -> RatMatrix:
     """Assemble the 2x|Q| TP matrix from a canonical configuration.
 
-    Q is the point set together with one mate point per line, sorted by
-    slope through the origin, compared in integers; the constraints make the
-    slopes distinct.  The count of 2x2 minors equal to 1 is at least the
-    incidence count of cfg, one unit minor per incidence via the mate-point
+    Q is the point set together with one mate point per line; its (x, y) are
+    cleared once to integer columns (X, Y), sorted by the slope Y/X, which the
+    constraints make distinct.  The count of 2x2 minors equal to 1 is at least
+    the incidence count of cfg, one unit minor per incidence via the mate-point
     identity.  Total positivity is certified in integers by the solid-minor
     criterion (verify_tp_contiguous: the 2n entries and the n-1 adjacent-column
     2x2 minors), whose witness equals the exhaustive verify_tp's.
@@ -286,9 +284,9 @@ def assemble_tp_2xn(cfg: IncidenceConfig) -> RatMatrix:
             "configuration violates canonical constraints: %r" % violations[:5]
         )
     Q = list(cfg.points) + [mate_point(l) for l in cfg.lines]
-    Q.sort(key=lambda p: _BY_RATIO((p.y.numerator * p.x.denominator,
-                                    p.x.numerator * p.y.denominator)))
-    A = RatMatrix([[p.x for p in Q], [p.y for p in Q]])
+    cols, scales = clear_denominators((p.x, p.y) for p in Q)
+    order = sorted(range(len(Q)), key=lambda j: _BY_RATIO((cols[j][1], cols[j][0])))
+    A = RatMatrix._of([cols[j] for j in order], [scales[j] for j in order], True)
     witness = verify_tp_contiguous(A)
     if witness is not None:
         raise AssertionError("assembled matrix unexpectedly not TP: %r" % (witness,))

@@ -1,9 +1,9 @@
 """Exact rational matrices: determinants, minors, and total-positivity checks.
 
 Every scalar is a reduced ``fractions.Fraction``, so equality of minor values
-is a genuine exact predicate.  A matrix clears its denominators once, on the
-axis with narrower integers; determinants, censuses and submatrices read that
-form, and Fractions are built only when read.  Floating point is rejected.
+is a genuine exact predicate.  A matrix holds only its integer lines, cleared
+once on the narrower axis; determinants, censuses and submatrices read them,
+and its entries are Fractions built on each read.  Floats are rejected.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ def check_index_tuple(t, bound, name="index tuple"):
 
 
 class RatMatrix:
-    """Immutable dense matrix of exact rationals (row-major).  ``_cleared`` is
+    """Immutable dense matrix of exact rationals, held only as ``_cleared`` =
     (int lines, scales, by_cols): its rows, or its columns if narrower, cleared
-    once; ``_select`` passes it to a submatrix, whose ``_rows`` stay None until read."""
+    once; ``entries`` builds its Fractions each time it is read."""
 
-    __slots__ = ("_rows", "_cleared")
+    __slots__ = ("_cleared",)
 
     def __init__(self, rows):
         data = tuple(tuple(rat(e) for e in row) for row in rows)
@@ -62,26 +62,30 @@ class RatMatrix:
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        self._rows = data
         self._cleared = min(
             (*clear_denominators(data), False), (*clear_denominators(zip(*data)), True),
             key=lambda cleared: max(abs(x).bit_length() for line in cleared[0] for x in line))
 
+    @classmethod
+    def _of(cls, lines, scales, by_cols):
+        """The matrix whose cleared form is (lines, scales, by_cols), taken as given."""
+        A = cls.__new__(cls)
+        A._cleared = lines, scales, by_cols
+        return A
+
     @property
     def rows(self):
-        return len(self.entries)
+        return len(self._cleared[0][0] if self._cleared[2] else self._cleared[0])
 
     @property
     def cols(self):
-        return len(self.entries[0])
+        return len(self._cleared[0] if self._cleared[2] else self._cleared[0][0])
 
     @property
     def entries(self):
-        if self._rows is None:
-            lines, scales, by_cols = self._cleared
-            fracs = tuple(tuple(Fraction(v, s) for v in line) for line, s in zip(lines, scales))
-            self._rows = tuple(zip(*fracs)) if by_cols else fracs
-        return self._rows
+        lines, scales, by_cols = self._cleared
+        fracs = tuple(tuple(Fraction(v, s) for v in line) for line, s in zip(lines, scales))
+        return tuple(zip(*fracs)) if by_cols else fracs
 
     def submatrix(self, I, J):
         """Submatrix A_{I,J} selected by 1-based strictly increasing tuples."""
@@ -93,11 +97,8 @@ class RatMatrix:
         # a line keeps its scale, perhaps above the lcm of the selected entries
         lines, scales, by_cols = self._cleared
         I, J = (J, I) if by_cols else (I, J)
-        sub = RatMatrix.__new__(RatMatrix)
-        sub._rows = None
-        sub._cleared = ([[lines[i - 1][j - 1] for j in J] for i in I],
-                        [scales[i - 1] for i in I], by_cols)
-        return sub
+        return RatMatrix._of([[lines[i - 1][j - 1] for j in J] for i in I],
+                             [scales[i - 1] for i in I], by_cols)
 
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self.entries == other.entries
@@ -268,7 +269,8 @@ def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:
     m0 = minor(A, I0, J0)
     if m0 <= 0:
         raise ValueError("designated minor must be positive, got %s" % m0)
-    return RatMatrix([[e / m0 for e in A.entries[0]], *A.entries[1:]])
+    first, *rest = A.entries
+    return RatMatrix([[e / m0 for e in first], *rest])
 
 
 # ---------------------------------------------------------------------------

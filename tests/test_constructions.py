@@ -34,7 +34,7 @@ from tpminors import (
     unit_rectangles,
     verify_tp,
 )
-from tpminors import constructions
+from tpminors import constructions, exact
 from tpminors.exact import clear_denominators, det_int, rat
 
 from oracles import dual_line, verify_no_Kd2
@@ -407,6 +407,37 @@ class TestAssemble:
     def test_unsatisfied_constraints_rejected(self):
         with pytest.raises(ValueError):
             assemble_tp_2xn(elekes_config(2))  # not canonical
+
+    def test_clears_only_the_columns(self, monkeypatch):
+        # the matrix is built from Q's (x, y) columns, cleared once: no line
+        # of |Q| entries (a row) is ever cleared
+        can = canonicalize_config(elekes_config(3), seed=3)
+        seen = []
+
+        def recording(clear):
+            def wrapped(lines):
+                lines = [tuple(line) for line in lines]
+                seen.extend(map(len, lines))
+                return clear(lines)
+            return wrapped
+
+        for module in (exact, constructions):
+            monkeypatch.setattr(module, "clear_denominators", recording(module.clear_denominators))
+        A = assemble_tp_2xn(can)
+        assert seen == [2] * A.cols == [2] * (len(can.points) + len(can.lines))
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    @pytest.mark.parametrize("scan_seed", [0, 3, 42])
+    def test_cleared_columns_match_a_fresh_build(self, N, scan_seed):
+        """For N >= 2 the columns are the narrower axis, so the assembled
+        matrix holds the form RatMatrix builds from its entries.  At N = 1 the
+        width rule may pick rows; the matrix and its unit minors are the same."""
+        A = assemble_tp_2xn(canonicalize_config(elekes_config(N), seed=scan_seed * 1000 + N))
+        fresh = RatMatrix(A.entries)
+        if N >= 2:
+            assert A._cleared == fresh._cleared
+        assert A._cleared[2] is True
+        assert A == fresh and count_minors_equal(A, 2, 1) == count_minors_equal(fresh, 2, 1)
 
 
 class TestPowerSum:

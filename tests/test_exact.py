@@ -399,6 +399,23 @@ class TestSubmatrix:
             assert sub == built and built == sub and hash(sub) == hash(built)
         assert axes == {False, True} or bits(rows) == bits(zip(*rows))
 
+    def test_shape_read_builds_no_fraction(self, monkeypatch):
+        """A matrix holds only its cleared lines: the shape of a submatrix is
+        read from them, while its entries are built afresh on every read."""
+        # rows clear to narrower integers than columns; the transpose is held by columns
+        rows = [[F(1, 2), F(3, 2), 5], [F(7, 3), 1, F(2, 3)], [4, F(9, 5), F(1, 5)]]
+        parents = [RatMatrix(rows), RatMatrix(list(zip(*rows)))]
+        assert [A._cleared[2] for A in parents] == [False, True]
+        subs = [A._select(I, J) for A in parents for I, J in [((1, 3), (2, 3)), ((2,), (1, 2, 3))]]
+        assert RatMatrix.__slots__ == ("_cleared",)
+        built = []
+        monkeypatch.setattr(exact, "Fraction", lambda *args: built.append(args) or F(*args))
+        assert [(sub.rows, sub.cols) for sub in subs] == [(2, 2), (1, 3)] * 2
+        assert built == []
+        for sub in subs:
+            assert sub.entries == sub.entries
+        assert len(built) == 2 * (4 + 3) * 2
+
 
 class TestScaleToUnit:
     def test_scale_row(self):
