@@ -223,10 +223,12 @@ def _convolve(C, D, op) -> Counter:
     C, D = as_multiset(C), as_multiset(D)
     (keys,), (L,) = clear_denominators([list(C) + list(D)])
     right = list(zip(keys[len(C):], D.values()))
-    out = Counter()
+    out = {}  # a plain dict: 3.11 specializes subscripts on exact dicts only
+    get = out.get
     for a, mc in zip(keys, C.values()):
         for b, md in right:
-            out[op(a, b)] += mc * md
+            v = op(a, b)
+            out[v] = get(v, 0) + mc * md
     scale = L * L if op is operator.mul else L
     return Counter({Fraction(v, scale): m for v, m in out.items()})
 

@@ -127,13 +127,23 @@ def clear_denominators(rows):
     return int_rows, scales
 
 
-def _det_laplace(m):
-    """Orders 4 and 5 of det_int, kept out of it to keep its order-2 frame small."""
-    if len(m) == 4:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
-        return ((a0*b1 - a1*b0) * (c2*d3 - c3*d2) - (a0*b2 - a2*b0) * (c1*d3 - c3*d1)
-                + (a0*b3 - a3*b0) * (c1*d2 - c2*d1) + (a1*b2 - a2*b1) * (c0*d3 - c3*d0)
-                - (a1*b3 - a3*b1) * (c0*d2 - c2*d0) + (a2*b3 - a3*b2) * (c0*d1 - c1*d0))
+def _det1(m):
+    return m[0][0]
+
+
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _det4(m):
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return ((a0*b1 - a1*b0) * (c2*d3 - c3*d2) - (a0*b2 - a2*b0) * (c1*d3 - c3*d1)
+            + (a0*b3 - a3*b0) * (c1*d2 - c2*d1) + (a1*b2 - a2*b1) * (c0*d3 - c3*d0)
+            - (a1*b3 - a3*b1) * (c0*d2 - c2*d0) + (a2*b3 - a3*b2) * (c0*d1 - c1*d0))
+
+
+def _det5(m):
     (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), \
         (d0, d1, d2, d3, d4), (e0, e1, e2, e3, e4) = m
     t01, t02, t03, t04 = d0*e1 - d1*e0, d0*e2 - d2*e0, d0*e3 - d3*e0, d0*e4 - d4*e0
@@ -151,23 +161,8 @@ def _det_laplace(m):
             + (a3*b4 - a4*b3) * (c0*t12 - c1*t02 + c2*t01))
 
 
-def det_int(m):
-    """Exact determinant of a square integer matrix.
-
-    Closed forms up to order 5 (orders 4 and 5 by Laplace expansion along rows
-    1-2), fraction-free (Bareiss) elimination beyond; all values stay integral.
-    """
+def _det_bareiss(m):
     n = len(m)
-    if n == 2:
-        (a, b), (c, d) = m
-        return a * d - b * c
-    if n == 1:
-        return m[0][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = m
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n <= 5:
-        return _det_laplace(m)
     a = [list(row) for row in m]
     sign = prev = 1
     for k in range(n - 1):
@@ -186,6 +181,20 @@ def det_int(m):
                 row[j] = (row[j] * p - r * top[j]) // prev
         prev = p
     return sign * a[n - 1][n - 1]
+
+
+# det_int's kernels: orders 4 and 5 by Laplace along rows 1-2, Bareiss beyond 5
+_DET_BY_ORDER = {1: _det1, 3: _det3, 4: _det4, 5: _det5}
+
+
+def det_int(m):
+    """Exact determinant of a square integer matrix, in integers throughout.
+    Order 2 is computed here, any other by its own kernel: no order-2 minor pays
+    for the locals of another order."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    return _DET_BY_ORDER.get(len(m), _det_bareiss)(m)
 
 
 def det(M: RatMatrix) -> Fraction:

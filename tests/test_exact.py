@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction as F
 from math import comb
 
@@ -167,6 +168,36 @@ class TestDetIntAgainstSympy:
         assert det_int(m) == self.sympy_det(m) == 0
         zero_col = [[0] + row[1:] for row in m]
         assert det_int(zero_col) == self.sympy_det(zero_col) == 0
+
+
+class TestDetIntShape:
+    """det_int's frame holds only the order-2 closed form.  CPython sets up
+    and clears every local slot of a frame on each call, so each local of
+    det_int is paid by every order-2 minor of a census, whatever order it
+    serves; every other order is one kernel call below det_int."""
+
+    def test_at_most_five_locals(self):
+        # m and the four entries (a, b), (c, d) of an order-2 matrix
+        assert det_int.__code__.co_nlocals <= 5
+
+    @staticmethod
+    def python_calls(m):
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+        try:
+            det_int(m)
+        finally:
+            sys.setprofile(None)
+        return [frame.f_code.co_name for frame in calls]
+
+    def test_order_2_is_one_call(self):
+        assert self.python_calls([[1, 2], [3, 4]]) == ["det_int"]
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5])
+    def test_other_closed_forms_are_one_kernel_below(self, n):
+        # no order-5 minor of the power-sum census pays a second hop
+        calls = self.python_calls([[i * n + j + 1 for j in range(n)] for i in range(n)])
+        assert len(calls) == 2 and calls[0] == "det_int"
 
 
 class TestMinor:
