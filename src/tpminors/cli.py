@@ -128,16 +128,19 @@ def cmd_rects(args):
 
 def cmd_mu(args):
     doc = constructions.load_json(_read_input(args.input), "mu input")
-    if "A" in doc and "B" in doc:
+    if doc.keys() == {"A", "B"}:
         A, B = constructions.json_array(doc["A"], "A"), constructions.json_array(doc["B"], "B")
         constructions.check_rationals(A + B)
         result = counting.mu(
             counting.multiset_prod(counting.multiset_diff(A, A), counting.multiset_diff(B, B))
         )
-    elif "values" in doc:
+    elif doc.keys() == {"values"}:
         values = constructions.json_array(doc["values"], "values")
         constructions.check_rationals(values)
         result = counting.mu(values)
+    elif {"A", "B"} <= doc.keys() or "values" in doc:
+        raise ValueError('mu input needs keys "A"/"B" or "values" alone, got %s'
+                         % ", ".join(map(json.dumps, sorted(doc))))
     else:
         raise ValueError('mu input needs keys "A"/"B" or "values"')
     _write_output(args.out, "%d\n" % result)

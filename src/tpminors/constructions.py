@@ -11,6 +11,7 @@ eliminated during canonicalization).
 from __future__ import annotations
 
 import json
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -284,6 +285,8 @@ def assemble_tp_2xn(cfg: IncidenceConfig) -> RatMatrix:
             "configuration violates canonical constraints: %r" % violations[:5]
         )
     Q = list(cfg.points) + [mate_point(l) for l in cfg.lines]
+    if not Q:
+        raise ValueError("matrix must have at least one row and one column")
     cols, scales = clear_denominators((p.x, p.y) for p in Q)
     order = sorted(range(len(Q)), key=lambda j: _BY_RATIO((cols[j][1], cols[j][0])))
     A = RatMatrix._of([cols[j] for j in order], [scales[j] for j in order], True)
@@ -302,7 +305,8 @@ def _validate_power_sum_params(a, b, k):
     b = tuple(rat(x) for x in b)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("need at least two a's and two b's")
-    if int(k) != k or k < 2:
+    k = operator.index(k)
+    if k < 2:
         raise ValueError("k must be an integer >= 2")
     if any(x <= 0 for x in a) or any(x <= 0 for x in b):
         raise ValueError("all a_j and b_i must be positive")
@@ -310,7 +314,7 @@ def _validate_power_sum_params(a, b, k):
         raise ValueError("a must be strictly increasing")
     if any(y >= x for x, y in zip(b, b[1:])):
         raise ValueError("b must be strictly decreasing")
-    return a, b, int(k)
+    return a, b, k
 
 
 def power_sum_matrix(a, b, k) -> RatMatrix:

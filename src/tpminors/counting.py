@@ -24,10 +24,10 @@ from .exact import RatMatrix, clear_denominators, det_int, rat
 def minor_census(A: RatMatrix, k: int):
     """Exact multiset of all k x k minor values of A, as a pair (counts, D).
 
-    The loops read A's one cleared form, whose lines are rows or columns,
-    whichever clear to narrower integers: the census of M^T is the census of
-    M, so orientation does not matter.  The shape of the cleared lines picks
-    the loop:
+    The loops read A's one cleared form, whose lines are rows or columns, as
+    A's denominators picked: the census of M^T is the census of M, so
+    orientation does not matter.  The shape of the cleared lines picks the
+    loop:
 
     - exactly k wide (the d x d minors of a d x n matrix, cleared by
       columns): each minor v/s has its own scale product s, so D is None and
@@ -180,6 +180,7 @@ def grid_area_counts(n: int, k: int) -> list:
     c_v equals the multiplicity of value v in the 2x2 minor census of
     grid_matrix(n).
     """
+    n, k = operator.index(n), operator.index(k)
     if n < 2:
         raise ValueError("n must be >= 2")
     if k < 1:

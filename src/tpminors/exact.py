@@ -2,8 +2,8 @@
 
 Every scalar is a reduced ``fractions.Fraction``, so equality of minor values
 is a genuine exact predicate.  A matrix holds only its integer lines, cleared
-once on the narrower axis; determinants, censuses and submatrices read them,
-and its entries are Fractions built on each read.  Floats are rejected.
+once on the axis its denominators pick; determinants, censuses and submatrices
+read them, and entries are Fractions built on each read.  Floats are rejected.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import lcm, prod
 
 # the one text form of a rational: an integer or p/q with q != 0, optionally signed
@@ -50,8 +50,8 @@ def check_index_tuple(t, bound, name="index tuple"):
 
 class RatMatrix:
     """Immutable dense matrix of exact rationals, held only as ``_cleared`` =
-    (int lines, scales, by_cols): its rows, or its columns if narrower, cleared
-    once; ``entries`` builds its Fractions each time it is read."""
+    (int lines, scales, by_cols): its rows cleared once, or its columns if a row's
+    lcm of denominators exceeds every column's; ``entries`` builds Fractions on read."""
 
     __slots__ = ("_cleared",)
 
@@ -62,9 +62,9 @@ class RatMatrix:
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        self._cleared = min(
-            (*clear_denominators(data), False), (*clear_denominators(zip(*data)), True),
-            key=lambda cleared: max(abs(x).bit_length() for line in cleared[0] for x in line))
+        top = max(lcm(*(e.denominator for e in col)) for col in zip(*data))
+        by_cols = any(m > top for r in data for m in accumulate((e.denominator for e in r), lcm))
+        self._cleared = (*clear_denominators(zip(*data) if by_cols else data), by_cols)
 
     @classmethod
     def _of(cls, lines, scales, by_cols):

@@ -109,6 +109,8 @@ def _json_inputs():
         "mu_bad_token": {"A": ["1", "0.5"], "B": ["1", "2"]},
         "mu_null": {"A": [1, 2], "B": [1, None]},
         "mu_missing_keys": {"A": [1, 2]},
+        "mu_ab_and_values": {"A": [1, 2, 4], "B": [1, 3], "values": [1, 1, 1]},
+        "mu_a_and_values": {"A": [1, 2, 4], "values": [1, 1, 1]},
         "mu_not_object": ["1", "2"],
         "pts_zero_den": {"points": [["1/0", "1"], ["2", "3"]]},
         "mu_zero_den": {"values": ["1/0"]},
@@ -228,7 +230,8 @@ def _invocations():
 
     # mu with A/B, with values, and with bad input
     for name in ("mu_int", "mu_rat", "mu_values", "mu_empty", "mu_bad_token", "mu_null",
-                 "mu_missing_keys", "mu_not_object", "pts_int", "malformed"):
+                 "mu_missing_keys", "mu_ab_and_values", "mu_a_and_values", "mu_not_object",
+                 "pts_int", "malformed"):
         add(["mu", "--input", "@" + name])
     add(["mu", "--input", MISSING])
 

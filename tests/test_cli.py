@@ -380,6 +380,20 @@ class TestCounters:
         code, out, _ = run(capsys, "mu", "--input", str(doc))
         assert code == 0 and out == "2\n"
 
+    @pytest.mark.parametrize("doc, keys", [
+        ({"A": [1, 2, 4], "B": [1, 3], "values": [1, 1, 1]}, '"A", "B", "values"'),
+        ({"A": [1, 2, 4], "values": [1, 1, 1]}, '"A", "values"'),
+        ({"values": [1, 1, 1], "points": []}, '"points", "values"'),
+        ({"B": [1, 3], "A": [1, 2], "note": "x"}, '"A", "B", "note"'),
+    ])
+    def test_mu_extra_keys(self, tmp_path, capsys, doc, keys):
+        """Only the key sets {A, B} and {values} are read: a document holding
+        either with any other key exits 1 naming its keys, not read in part."""
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "mu", "--input", str(path)) == (
+            1, "", 'error: mu input needs keys "A"/"B" or "values" alone, got %s\n' % keys)
+
 
 class TestScanAndSt:
     def test_scan_csv(self, tmp_path, capsys):

@@ -679,7 +679,19 @@ class TestConfigJson:
     (lambda: power_sum_matrix((1, 2), (2, 2), 2), "b must be strictly decreasing"),
     (lambda: power_sum_matrix((1, 2), (3, 2, 2), 2), "b must be strictly decreasing"),
     (lambda: hyperplane_family(RatMatrix([[1], [2], [3]]), 1), "need at least d-1 columns"),
+    (lambda: assemble_tp_2xn(IncidenceConfig((), ())),
+     "matrix must have at least one row and one column"),
 ])
 def test_boundary_checks(call, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: power_sum_matrix((1, 2), (2, 1), 2.0),
+    lambda: power_sum_det_closed_form((1, 2), (2, 1), 2.0),
+], ids=["power_sum_matrix", "power_sum_det_closed_form"])
+def test_integer_parameters_read_by_index(call):
+    """k is read with operator.index: a float, even 2.0, is a TypeError."""
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         call()

@@ -271,7 +271,7 @@ class TestCensusAgainstOracle:
         [WIDE[0]],  # 1 x 5
         WIDE,  # 2 x 5
         WIDE + [[F(0), F(1, 4), F(2), F(1, 3), F(1, 6)]],  # 3 x 5
-        [r[:3] for r in WIDE] + [[F(1, 2), F(1, 4), F(3)]],  # square 3 x 3
+        [r[:3] for r in WIDE] + [[F(1, 2), F(1, 4), F(1, 3)]],  # square 3 x 3
         [r[:2] for r in WIDE],  # square 2 x 2
     ], ids=["1x5", "2x5", "3x5", "3x3", "2x2"])
     def test_one_det_int_call_per_minor(self, monkeypatch, rows):
@@ -433,8 +433,9 @@ class TestCountersOverCensus:
     @pytest.mark.parametrize("rows, D", [
         # columns cleared (scales 2, 3, 1), wider than k = 1: integer keys over D = 6
         ([[F(-1, 2), F(-1, 3), 1], [F(-1, 2), F(-1, 3), 5]], 6),
-        # one row cleared column by column, exactly k = 1 wide: reduced pair keys, D None
-        ([[F(-1, 2), F(-1, 3), F(-1, 2), F(-1, 3), F(1, 6)]], None),
+        # one row cleared column by column (its lcm 30 exceeds every column's), exactly
+        # k = 1 wide: reduced pair keys, D None
+        ([[F(-1, 2), F(-1, 3), F(-1, 2), F(-1, 3), F(1, 5)]], None),
     ], ids=["wide", "full-height"])
     def test_max_repeated_negative_tie(self, rows, D):
         A = RatMatrix(rows)
@@ -847,3 +848,10 @@ class TestMultisets:
 def test_boundary_checks(call, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("n, k", [(4, 2.0), (4.0, 2)], ids=["k", "n"])
+def test_grid_area_counts_reads_integers_by_index(n, k):
+    """n and k are read with operator.index: a float, even 2.0, is a TypeError."""
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        grid_area_counts(n, k)

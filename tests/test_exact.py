@@ -1,7 +1,7 @@
 import re
 import sys
 from fractions import Fraction as F
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,13 @@ from tpminors import (
     verify_tp_contiguous,
 )
 from tpminors import exact
-from tpminors.constructions import grid_matrix, power_sum_matrix
+from tpminors.constructions import (
+    assemble_tp_2xn,
+    canonicalize_config,
+    elekes_config,
+    grid_matrix,
+    power_sum_matrix,
+)
 from tpminors.exact import clear_denominators, det_int, rat
 
 
@@ -67,11 +73,12 @@ class TestDet:
     @staticmethod
     def bareiss_on_inherited_scales(transpose):
         # columns 2 and 5 of the 9x9 carry denominator 7 and row i carries P[i]
-        # elsewhere, so rows clear narrower (scales 7 * P[i]) than columns (scale
-        # 30); the 7x7 submatrix drops columns 2 and 5 but inherits row scales
-        # that still hold the 7, so Bareiss runs on lines that are not the
-        # minimal ones.  Transposed, the same holds for inherited column scales.
-        P = (1, 2, 3, 5, 1, 2, 3, 5, 1)
+        # elsewhere, so no row's lcm (lcm(7, P[i]), at most 35) exceeds the
+        # largest column lcm (210) and rows are cleared; the 7x7 submatrix drops
+        # columns 2 and 5 but inherits row scales that still hold the 7, so
+        # Bareiss runs on lines that are not the minimal ones.  Transposed, the
+        # same holds for inherited column scales.
+        P = (1, 2, 3, 5, 7, 2, 3, 5, 1)
         rows = [[F(i * j + i + 2 * j + 1 + (i == j), 7 if j in (1, 4) else P[i])
                  for j in range(9)] for i in range(9)]
         I, J = (1, 2, 3, 5, 6, 8, 9), (1, 3, 4, 6, 7, 8, 9)
@@ -395,19 +402,20 @@ class TestSubmatrix:
         built from the same entries: its det (before its entries are read),
         entries, shape, repr, == and hash.  Chains run from the drawn parent
         and from its transpose, so one parent is held by rows and the other by
-        columns, unless both axes clear to integers of equal width."""
+        columns, unless the largest lcm of a row's denominators equals that of
+        a column's."""
         entry = st.one_of(st.just(F(0)), rationals)
         rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                                   min_size=r, max_size=r))
 
-        def bits(m):
-            return max(abs(x).bit_length() for line in clear_denominators(m)[0] for x in line)
+        def top(m):
+            return max(lcm(*(e.denominator for e in line)) for line in m)
 
         axes = set()
         for parent in (rows, [list(col) for col in zip(*rows)]):
             sub, plain = RatMatrix(parent), parent
             by_cols = sub._cleared[2]
-            assert by_cols is (bits(zip(*parent)) < bits(parent))
+            assert by_cols is (top(parent) > top(zip(*parent)))
             axes.add(by_cols)
             for _ in range(data.draw(st.integers(1, 3))):
                 I = sorted(data.draw(st.sets(st.integers(1, len(plain)), min_size=1)))
@@ -428,7 +436,7 @@ class TestSubmatrix:
             assert (sub.rows, sub.cols) == (built.rows, built.cols)
             assert repr(sub) == repr(built)
             assert sub == built and built == sub and hash(sub) == hash(built)
-        assert axes == {False, True} or bits(rows) == bits(zip(*rows))
+        assert axes == {False, True} or top(rows) == top(zip(*rows))
 
     def test_shape_read_builds_no_fraction(self, monkeypatch):
         """A matrix holds only its cleared lines: the shape of a submatrix is
@@ -446,6 +454,45 @@ class TestSubmatrix:
         for sub in subs:
             assert sub.entries == sub.entries
         assert len(built) == 2 * (4 + 3) * 2
+
+
+class TestClearingAxis:
+    """RatMatrix(rows) picks its axis from the denominators and clears only
+    that axis: the rows, unless some row's lcm exceeds every column's."""
+
+    # a row's lcm is 12, past the largest column lcm (6)
+    WIDE = [[F(1, 2), F(3, 4), F(1), F(2, 3), F(-1, 6)],
+            [F(1, 2), F(5, 4), F(1), F(-1, 3), F(5, 6)]]
+
+    @staticmethod
+    def tp2xn_rows():
+        """The rows of a matrix as ``construct tp2xn`` prints it: each column
+        (X, Y) has its own small denominator, while a row's lcm covers all."""
+        A = assemble_tp_2xn(canonicalize_config(elekes_config(3), seed=3))
+        return [list(row) for row in matrix_from_text(matrix_to_text(A)).entries]
+
+    @pytest.mark.parametrize("kind, by_cols", [
+        ("wide", True), ("wide-transposed", False), ("integer", False),
+        ("tp2xn", True), ("tp2xn-transposed", False),
+    ])
+    def test_one_clearing_on_the_chosen_axis(self, monkeypatch, kind, by_cols):
+        rows = {"wide": self.WIDE, "integer": [[1, 2, 3], [4, 5, 6]],
+                "tp2xn": self.tp2xn_rows()}[kind.removesuffix("-transposed")]
+        if kind.endswith("-transposed"):
+            rows = [list(col) for col in zip(*rows)]
+        cleared = []
+
+        def recording(lines):
+            lines = [tuple(line) for line in lines]
+            cleared.append(lines)
+            return clear_denominators(lines)
+
+        monkeypatch.setattr(exact, "clear_denominators", recording)
+        A = RatMatrix(rows)
+        assert len(cleared) == 1
+        assert A._cleared[2] is by_cols
+        assert cleared[0] == (list(zip(*rows)) if by_cols else [tuple(r) for r in rows])
+        assert A.entries == tuple(map(tuple, rows))
 
 
 class TestScaleToUnit:
