@@ -33,9 +33,7 @@ print("3x%d TP matrix -> %d cofactor hyperplanes (pairwise distinct)"
       % (A.cols, len(fam)))
 
 pts = list(zip(*A.entries))
-ordered = point_hyperplane_incidences(
-    pts, [h for _, h in fam], [I for I, _ in fam]
-)
+ordered = point_hyperplane_incidences(pts, fam)
 brute = count_minors_equal(A, 3, 1)
 print("ordered incidences at level 1: %d" % ordered)
 print("unit 3x3 minors: %d" % brute)

@@ -362,8 +362,8 @@ def hyperplane_family(A: RatMatrix, t) -> list:
     For each (d-1)-tuple I of column indices, the hyperplane
     sum_j c_j x_j = t whose coefficients are the last-column cofactors of the
     d x d determinant with columns A_{.,I} and a variable column.  A point p_k
-    with k > max(I) lies on the t=1 member iff the d x d minor on columns
-    I + (k) equals 1.  Members are verified pairwise non-proportional.
+    with k > max(I) lies on the member for I iff the d x d minor on columns
+    I + (k) equals t.  Members are verified pairwise non-proportional.
     """
     t = rat(t)
     if t == 0:

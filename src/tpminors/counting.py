@@ -100,20 +100,19 @@ def point_line_incidences(cfg) -> int:
     return sum(l.contains(p) for l in cfg.lines for p in cfg.points)
 
 
-def point_hyperplane_incidences(points, planes, ordered_restriction=None) -> int:
-    """Exact count of (point, hyperplane) incidences.
-
-    ``ordered_restriction`` is a list of (d-1)-index-tuples aligned with
-    ``planes``; when given, a pair (plane for tuple I, point with 1-based
-    index k) is counted only if k > max(I) -- exactly the ordered pairs that
-    correspond to unit d x d minors on columns I + (k).
-    """
-    if ordered_restriction is not None and len(ordered_restriction) != len(planes):
-        raise ValueError("restriction list must align with planes")
+def point_hyperplane_incidences(points, family) -> int:
+    """Exact count of (point, hyperplane) incidences over the (I, h) pairs of
+    ``hyperplane_family``, each h tested on the points after 1-based index
+    max(I), all when I is empty: the pairs of d x d minors on columns I + (k)."""
+    # x = X/s lies on a.x = b iff (a, b).(X, -s) == 0: one integer dot product
+    pts, _ = clear_denominators([(*map(rat, p), -1) for p in points])
+    planes, _ = clear_denominators([h.coeffs + (h.offset,) for _, h in family])
     count = 0
-    for a, h in enumerate(planes):
-        cut = max(ordered_restriction[a]) if ordered_restriction is not None else 0
-        count += sum(map(h.contains, points[cut:]))
+    for (I, _), plane in zip(family, planes):
+        for P in pts[max(I, default=0):]:
+            if len(P) != len(plane):
+                raise ValueError("point dimension %d != %d" % (len(P) - 1, len(plane) - 1))
+            count += not sum(map(operator.mul, plane, P))
     return count
 
 

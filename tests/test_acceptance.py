@@ -137,7 +137,7 @@ def test_criterion_7_hyperplane_equivalence_d3():
         A = scale_to_unit(A, (1, 2, 3), (1, 2, 3))
         fam = hyperplane_family(A, 1)  # raises if any pair proportional
         pts = list(zip(*A.entries))
-        got = point_hyperplane_incidences(pts, [h for _, h in fam], [I for I, _ in fam])
+        got = point_hyperplane_incidences(pts, fam)
         want = count_minors_equal(A, 3, 1)
         ok = ok and got == want and want >= 1
         ok = ok and verify_no_Kd2(pts, [h for _, h in fam]) is None

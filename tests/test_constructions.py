@@ -429,9 +429,9 @@ class TestAssemble:
     @pytest.mark.parametrize("N", range(1, 7))
     @pytest.mark.parametrize("scan_seed", [0, 3, 42])
     def test_cleared_columns_match_a_fresh_build(self, N, scan_seed):
-        """For N >= 2 the columns are the narrower axis, so the assembled
-        matrix holds the form RatMatrix builds from its entries.  At N = 1 the
-        width rule may pick rows; the matrix and its unit minors are the same."""
+        """For N >= 2 a row's lcm of denominators exceeds every column's, so
+        RatMatrix clears the columns, the form the assembled matrix holds.  At
+        N = 1 the lcm rule may pick rows; the matrix and its unit minors are the same."""
         A = assemble_tp_2xn(canonicalize_config(elekes_config(N), seed=scan_seed * 1000 + N))
         fresh = RatMatrix(A.entries)
         if N >= 2:

@@ -19,12 +19,14 @@ from tpminors import (
     Line2,
     Point2,
     RatMatrix,
+    assemble_tp_2xn,
     canonicalize_config,
     count_minors_equal,
     det,
     elekes_config,
     grid_area_counts,
     grid_matrix,
+    hyperplane_family,
     max_repeated_minor,
     minor_census,
     mu,
@@ -223,9 +225,10 @@ class TestCensusAgainstOracle:
             [F(3, 7), F(1, 11), F(4, 13), F(7, 11)]]
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["column-axis", "row-axis"])
-    def test_narrower_axis_is_cleared(self, monkeypatch, transpose):
+    def test_one_cleared_form_on_the_lcm_picked_axis(self, monkeypatch, transpose):
         """The census, det on every square submatrix and verify_tp all read
-        the one form cleared on the narrower axis."""
+        the one cleared form.  A row's lcm of denominators (1001) exceeds every
+        column's, so the columns are cleared, and the rows of the transpose."""
         rows = [list(r) for r in zip(*self.COLS)] if transpose else self.COLS
         A = RatMatrix(rows)
         widths = self.det_int_widths(monkeypatch)
@@ -516,15 +519,15 @@ class TestIncidences:
         pts = [Point2(1, 1), Point2(1, 2), Point2(2, 3), Point2(F(1, 2), 3)]
         duals = [dual_line(p) for p in pts]
         cfg = IncidenceConfig(tuple(pts), tuple(duals))
-        planes = [Hyperplane((-p.y, p.x), 1) for p in pts]
-        assert point_hyperplane_incidences([(p.x, p.y) for p in pts], planes) == \
+        family = [((), Hyperplane((-p.y, p.x), 1)) for p in pts]  # I = (): every point
+        assert point_hyperplane_incidences([(p.x, p.y) for p in pts], family) == \
             point_line_incidences(cfg)
 
     def test_empty_planes(self):
         assert point_hyperplane_incidences([(1, 2)], []) == 0
 
-    def test_ordered_restriction_matches_unit_minor_count(self):
-        from tpminors import hyperplane_family, scale_to_unit
+    def test_scaled_family_count_matches_unit_minor_count(self):
+        from tpminors import scale_to_unit
         rng = random.Random(3)
         for _ in range(5):
             n = rng.randint(4, 8)
@@ -532,12 +535,61 @@ class TestIncidences:
             A = scale_to_unit(
                 power_sum_matrix(a, (5, 3, 1), 3), (1, 2, 3), (1, 2, 3)
             )
-            fam = hyperplane_family(A, 1)
-            pts = list(zip(*A.entries))
-            got = point_hyperplane_incidences(
-                pts, [h for _, h in fam], [I for I, _ in fam]
-            )
-            assert got == count_minors_equal(A, 3, 1)
+            assert family_count(A, 1) == count_minors_equal(A, 3, 1)
+
+
+def family_count(A, t):
+    """The incidences of A's columns with A's cofactor hyperplanes at level t."""
+    return point_hyperplane_incidences(list(zip(*A.entries)), hyperplane_family(A, t))
+
+
+@pytest.fixture(scope="module")
+def power_sum_24():
+    """The 3x24 power-sum matrix, its most repeated 3x3 value t and
+    multiplicity m, and its cofactor family at level t."""
+    A = power_sum_matrix(range(1, 25), (3, 2, 1), 3)
+    t, m = max_repeated_minor(A, 3)
+    return A, t, m, hyperplane_family(A, t)
+
+
+class TestHyperplaneIdentity:
+    """The d x d minors of a d x n TP matrix equal to t are the ordered
+    incidences of its columns with its cofactor hyperplanes at level t."""
+
+    def test_most_repeated_value(self, power_sum_24):
+        A, t, m, fam = power_sum_24
+        assert m >= 30
+        assert point_hyperplane_incidences(list(zip(*A.entries)), fam) == \
+            count_minors_equal(A, 3, t) == m
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_rational_power_sums(self, data):
+        rationals = st.builds(F, st.integers(1, 40), st.integers(1, 4))
+        a = sorted(data.draw(st.sets(rationals, min_size=3, max_size=12)))
+        b = sorted(data.draw(st.sets(rationals, min_size=3, max_size=3)), reverse=True)
+        A = power_sum_matrix(a, b, 3)
+        t, m = max_repeated_minor(A, 3)
+        assert family_count(A, t) == count_minors_equal(A, 3, t) == m
+
+    def test_one_row(self):
+        # d = 1: the one member x_1 = t is tested on every point (I is empty)
+        A = RatMatrix([[2, 3, 5, 3]])
+        assert family_count(A, 3) == count_minors_equal(A, 1, 3) == 2
+
+    def test_two_rows(self):
+        # the `--seed 0 construct tp2xn --N 2` matrix: unit minors of the Elekes pipeline
+        A = assemble_tp_2xn(canonicalize_config(elekes_config(2), seed=0))
+        assert family_count(A, 1) == count_minors_equal(A, 2, 1) == 16
+
+    def test_count_calls_no_membership_test(self, monkeypatch, power_sum_24):
+        A, t, m, fam = power_sum_24
+
+        def refuse(self, point):
+            raise AssertionError("Hyperplane.contains called")
+
+        monkeypatch.setattr(Hyperplane, "contains", refuse)
+        assert point_hyperplane_incidences(list(zip(*A.entries)), fam) == m
 
 
 class TestNoKd2:
@@ -555,6 +607,10 @@ class TestNoKd2:
 
     def test_empty(self):
         assert verify_no_Kd2([(1, 2)], []) is None
+
+    def test_family_of_a_tp_matrix(self, power_sum_24):
+        A, _, _, fam = power_sum_24
+        assert verify_no_Kd2(list(zip(*A.entries)), [h for _, h in fam]) is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 3), st.data())
@@ -835,8 +891,8 @@ class TestMultisets:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: point_hyperplane_incidences([(1, 2)], [Hyperplane((1, 1), 3)], []),
-     "restriction list must align with planes"),
+    (lambda: point_hyperplane_incidences([(1, 2)], [((), Hyperplane((1, 1, 1), 3))]),
+     "point dimension 2 != 3"),
     (lambda: unit_rectangles([(1, 2), (2, 3)], 1, mode="anti-diagonal"),
      "unknown mode 'anti-diagonal'"),
     (lambda: divisor_count(0), "k must be >= 1"),
