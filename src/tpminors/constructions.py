@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd
 
 from .exact import RatMatrix, clear_denominators, det, rat, verify_tp_contiguous
@@ -436,9 +436,13 @@ def load_json(text, name):
 
 
 def points_from_json(text: str):
+    """The JSON point set, cleared per axis: ([(X, Y), ...], (Lx, Ly)) for the (X/Lx, Y/Ly)."""
     points = load_json(text, "the point set").get("points")
     points = [json_array(p, "each point", 2) for p in json_array(points, "points")]
-    check_rationals(v for p in points for v in p)
+    check_rationals(chain.from_iterable(points))
     # one rat per distinct token, in point order, so the first bad one raises
-    value = {v: rat(v) for v in dict.fromkeys(v for p in points for v in p)}
-    return [(value[x], value[y]) for x, y in points]
+    value = {v: rat(v) for v in dict.fromkeys(chain.from_iterable(points))}
+    tokens = [dict.fromkeys(axis) for axis in zip(*points)] or [{}, {}]  # distinct per axis
+    ints, scales = clear_denominators([value[t] for t in axis] for axis in tokens)
+    X, Y = (dict(zip(axis, line)) for axis, line in zip(tokens, ints))
+    return [(X[x], Y[y]) for x, y in points], tuple(scales)

@@ -139,10 +139,11 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     area = rat(area)
     if area <= 0:
         raise ValueError("area must be positive")
-    coord = lambda v: v if type(v) is int else rat(v)  # ints are already exact
-    pts = [(coord(x), coord(y)) for x, y in points]
-    (xs, ys), (Lx, Ly) = clear_denominators([[x for x, _ in pts], [y for _, y in pts]])
-    if len(set(zip(xs, ys))) != len(pts):
+    points = list(points)
+    xs, ys, Lx, Ly = [x for x, _ in points], [y for _, y in points], 1, 1
+    if not {*map(type, xs), *map(type, ys)} <= {int}:  # int points are already cleared
+        (xs, ys), (Lx, Ly) = clear_denominators(zip(*[(rat(x), rat(y)) for x, y in points]))
+    if len(set(zip(xs, ys))) != len(points):
         raise ValueError("points must be distinct")
     # (dx/Lx)(dy/Ly) == area  <=>  dx * dy == area * Lx * Ly
     target, rem = divmod(area.numerator * Lx * Ly, area.denominator)
@@ -216,31 +217,43 @@ def as_multiset(values) -> Counter:
     return out
 
 
-def _convolve(C, D, op) -> Counter:
-    """op(C, D) with convolved multiplicities m(s) = sum m(c) m(d) over
-    op(c, d) = s; the keys are convolved as integers over one common
-    denominator L, so a difference is over L and a product over L^2."""
-    C, D = as_multiset(C), as_multiset(D)
-    (keys,), (L,) = clear_denominators([list(C) + list(D)])
-    right = list(zip(keys[len(C):], D.values()))
+def _convolve_ints(C, D, op) -> dict:
+    """{op(c, d): sum of m(c) m(d)} over (int key, multiplicity) pairs; D is re-read."""
     out = {}  # a plain dict: 3.11 specializes subscripts on exact dicts only
     get = out.get
-    for a, mc in zip(keys, C.values()):
-        for b, md in right:
+    for a, mc in C:
+        for b, md in D:
             v = op(a, b)
             out[v] = get(v, 0) + mc * md
-    scale = L * L if op is operator.mul else L
-    return Counter({Fraction(v, scale): m for v, m in out.items()})
+    return out
+
+
+def _convolve(C, D, op):
+    """(op(C, D) with int keys, L): keys convolved as integers over one common
+    denominator L, so a key v stands for v/L in a difference, v/L^2 in a product."""
+    C, D = as_multiset(C), as_multiset(D)
+    (keys,), (L,) = clear_denominators([list(C) + list(D)])
+    return _convolve_ints(zip(keys, C.values()), list(zip(keys[len(C):], D.values())), op), L
 
 
 def multiset_diff(C, D) -> Counter:
     """C - D with convolved multiplicities m(s) = sum m(c) m(d) over c-d=s."""
-    return _convolve(C, D, operator.sub)
+    out, L = _convolve(C, D, operator.sub)
+    return Counter({Fraction(v, L): m for v, m in out.items()})
 
 
 def multiset_prod(C, D) -> Counter:
     """C * D with convolved multiplicities m(s) = sum m(c) m(d) over c*d=s."""
-    return _convolve(C, D, operator.mul)
+    out, L = _convolve(C, D, operator.mul)
+    return Counter({Fraction(v, L * L): m for v, m in out.items()})
+
+
+def mu_diff_prod(A, B) -> int:
+    """mu((A - A)(B - B)) with no Fraction per key: A - A and B - B stay integer-keyed
+    over L_A and L_B, and the product keys are the values times L_A L_B, a bijection."""
+    A, B = as_multiset(A), as_multiset(B)  # one rat per token, A's first
+    (dA, _), (dB, _) = _convolve(A, A, operator.sub), _convolve(B, B, operator.sub)
+    return max(_convolve_ints(dA.items(), dB.items(), operator.mul).values(), default=0)
 
 
 def mu(C) -> int:

@@ -62,8 +62,13 @@ class RatMatrix:
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        top = max(lcm(*(e.denominator for e in col)) for col in zip(*data))
-        by_cols = any(m > top for r in data for m in accumulate((e.denominator for e in r), lcm))
+        # by_cols iff the largest row lcm exceeds the largest column lcm: full lcms on the
+        # shorter lines, running lcms on the longer until one passes (tall: reaches) them
+        dens = [[e.denominator for e in r] for r in data]
+        tall = len(data) > width
+        top = max(lcm(*d) for d in (dens if tall else zip(*dens)))
+        by_cols = tall != any(m > top - tall for d in (zip(*dens) if tall else dens)
+                              for m in accumulate(d, lcm))
         self._cleared = (*clear_denominators(zip(*data) if by_cols else data), by_cols)
 
     @classmethod

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpminors import RatMatrix, matrix_to_text, verify_tp
+from tpminors import RatMatrix, matrix_to_text, mu, multiset_diff, multiset_prod, verify_tp
 from tpminors.cli import build_parser, main
 
-from test_counting import census_oracle
+from test_counting import census_oracle, rectangle_inputs, rectangles_oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -393,6 +393,80 @@ class TestCounters:
         path.write_text(json.dumps(doc))
         assert run(capsys, "mu", "--input", str(path)) == (
             1, "", 'error: mu input needs keys "A"/"B" or "values" alone, got %s\n' % keys)
+
+
+def spelled(value):
+    """One JSON spelling of a rational: a JSON integer, or p/q scaled by 1..3
+    and perhaps signed, so equal values arrive as different tokens."""
+    return st.one_of(
+        *([st.just(value.numerator)] if value.denominator == 1 else []),
+        st.integers(1, 3).map(lambda k: "%d/%d" % (value.numerator * k, value.denominator * k)),
+        st.just(("+%s" if value >= 0 else "%s") % value))
+
+
+# small rationals with repeats, zero and negatives, each in a drawn spelling
+mu_tokens = st.lists(st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4)))
+                     .flatmap(spelled), max_size=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu_tokens, mu_tokens)
+def test_mu_command_matches_fraction_convolution(A, B):
+    """mu on {"A", "B"} takes its count from the integer convolution; the
+    Fraction-keyed multisets give the same maximum, for an empty A or B too."""
+    want = mu(multiset_prod(multiset_diff(A, A), multiset_diff(B, B)))
+    with tempfile.TemporaryDirectory() as d:
+        doc, out = Path(d, "s.json"), Path(d, "mu.txt")
+        doc.write_text(json.dumps({"A": A, "B": B}))
+        assert main(["--out", str(out), "mu", "--input", str(doc)]) == 0
+        assert out.read_text() == "%d\n" % want
+
+
+@pytest.mark.parametrize("mode", ["diagonal", "both-diagonals"])
+@settings(max_examples=100, deadline=None)
+@given(case=rectangle_inputs())
+def test_rects_command_matches_pair_scan(mode, case):
+    """rects counts over the cleared points with the area scaled by Lx * Ly:
+    the same count as the pair scan over the rational points."""
+    points, area = case
+    with tempfile.TemporaryDirectory() as d:
+        doc, out = Path(d, "p.json"), Path(d, "rects.txt")
+        doc.write_text(json.dumps({"points": [[str(x), str(y)] for x, y in points]}))
+        argv = ["--out", str(out), "rects", "--input", str(doc), "--area", str(area),
+                "--mode", mode]
+        assert main(argv) == 0
+        assert out.read_text() == "%d\n" % rectangles_oracle(points, area, mode)
+
+
+def test_parser_reuse_keeps_no_state(tmp_path, capsys):
+    """main builds its parser once per process.  The same argv gives the same
+    bytes and exit code before and after an argparse exit 2, a --format
+    rejection and a command with global flags after its subcommand."""
+    pts, mat, out = tmp_path / "p.json", tmp_path / "m.txt", tmp_path / "out.txt"
+    # area 1/2: two diagonal pairs from (0, 0) and one anti-diagonal pair
+    pts.write_text(json.dumps({"points": [[0, 0], [1, "1/2"], ["1/2", 1], ["3/2", "1/2"]]}))
+    mat.write_text("2 2\n1 2\n1/2 3\n")
+
+    def call(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    same = [("rects", "--input", str(pts), "--area", "1/2", "--mode", "both-diagonals"),
+            ("census", "--order", "1", "--input", str(mat))]
+    first = [call(*argv) for argv in same]
+    assert first == [(0, "3\n", ""), (0, "1/2,1\n1,1\n2,1\n3,1\n", "")]
+    between = [(("verify", "--contiguous"), 2),
+               (("--format", "json", *same[0]), 1),
+               (("census", "--order", "1", "--input", str(mat), "--format", "json",
+                 "--out", str(out), "--seed", "5"), 0)]
+    for argv, code in between:
+        assert call(*argv)[0] == code
+        assert [call(*argv) for argv in same] == first
+    assert out.read_text() == '{"census": [["1/2", 1], ["1", 1], ["2", 1], ["3", 1]]}\n'
 
 
 class TestScanAndSt:

@@ -583,17 +583,25 @@ class TestHyperplaneFamily:
         assert verify_no_Kd2(pts, [h for _, h in fam]) is None
 
 
+def through_scales(cleared):
+    """The points of points_from_json's cleared form, (X, Y) over (Lx, Ly), as Fractions."""
+    pts, (Lx, Ly) = cleared
+    return [(F(X, Lx), F(Y, Ly)) for X, Y in pts]
+
+
 class TestConfigJson:
     """points_from_json reads the points of a configuration document too, as
     ``construct elekes`` writes it; the lines are not read."""
 
     def test_round_trip(self):
         cfg = elekes_config(2)
-        assert points_from_json(config_to_json(cfg)) == [(p.x, p.y) for p in cfg.points]
+        assert through_scales(points_from_json(config_to_json(cfg))) == [
+            (p.x, p.y) for p in cfg.points]
 
     def test_fraction_coordinates(self):
         cfg = IncidenceConfig((Point2(F(1, 3), F(2, 7)),), (Line2(F(5, 2), F(1, 9)),))
-        assert points_from_json(config_to_json(cfg)) == [(p.x, p.y) for p in cfg.points]
+        assert through_scales(points_from_json(config_to_json(cfg))) == [
+            (p.x, p.y) for p in cfg.points]
 
     @pytest.mark.parametrize("text, token", [
         ('{"points": [["1.5", "2"]], "lines": []}', "1.5"),
@@ -623,9 +631,10 @@ class TestConfigJson:
             points_from_json(text)
 
     def test_equivalent_tokens_give_equal_values(self):
-        pts = points_from_json('{"points": [["1/2", "-0"], ["2/4", 0], ["+1/2", "0/3"]]}')
-        assert pts == [(F(1, 2), 0)] * 3
-        assert all(type(v) is F for p in pts for v in p)
+        cleared = points_from_json('{"points": [["1/2", "-0"], ["2/4", 0], ["+1/2", "0/3"]]}')
+        assert through_scales(cleared) == [(F(1, 2), 0)] * 3
+        assert cleared == ([(1, 0)] * 3, (2, 1))
+        assert all(type(v) is int for p in cleared[0] for v in p)
 
     @pytest.mark.parametrize("mode", ["diagonal", "both-diagonals"])
     def test_respelled_grid_counts_match_pair_scan(self, mode):
@@ -633,11 +642,16 @@ class TestConfigJson:
         rng = random.Random(5)
         spell = lambda n: rng.choice((str(F(n, 2)), "%d/2" % n, "%+d/4" % (2 * n), "%d/6" % (3 * n)))
         halves = [(x, y) for x in range(-6, 6) for y in range(-4, 7) if (x * y) % 3]
-        pts = points_from_json(json.dumps({"points": [[spell(x), spell(y)] for x, y in halves]}))
+        cleared = points_from_json(
+            json.dumps({"points": [[spell(x), spell(y)] for x, y in halves]}))
         cells = [(F(x, 2), F(y, 2)) for x, y in halves]
-        assert pts == cells
+        assert through_scales(cleared) == cells
+        pts, (Lx, Ly) = cleared
         for area in (F(1), F(3, 2), F(6)):
-            assert unit_rectangles(pts, area, mode) == rectangles_oracle(cells, area, mode)
+            expected = rectangles_oracle(cells, area, mode)
+            # the cleared points span the area scaled by Lx * Ly, as cmd_rects passes it
+            assert rectangles_oracle(pts, area * Lx * Ly, mode) == expected
+            assert unit_rectangles(pts, area * Lx * Ly, mode) == expected
 
     def test_one_rat_per_distinct_token(self, monkeypatch):
         calls = []
@@ -648,8 +662,8 @@ class TestConfigJson:
 
         monkeypatch.setattr(constructions, "rat", counted_rat)
         grid = [["%d/2" % x, "%d/2" % y] for x in range(40) for y in range(40)]
-        pts = points_from_json(json.dumps({"points": grid}))
-        assert pts == [(F(x, 2), F(y, 2)) for x in range(40) for y in range(40)]
+        cleared = points_from_json(json.dumps({"points": grid}))
+        assert through_scales(cleared) == [(F(x, 2), F(y, 2)) for x in range(40) for y in range(40)]
         assert sorted(calls) == sorted("%d/2" % x for x in range(40))
 
     @pytest.mark.parametrize("text", [

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 from fractions import Fraction as F
@@ -493,6 +494,35 @@ class TestClearingAxis:
         assert A._cleared[2] is by_cols
         assert cleared[0] == (list(zip(*rows)) if by_cols else [tuple(r) for r in rows])
         assert A.entries == tuple(map(tuple, rows))
+
+    @pytest.mark.parametrize("r, c", [(1, 1), (5, 5), (9, 2), (40, 3), (7, 1),
+                                      (2, 9), (3, 40), (1, 7)])
+    def test_axis_rule_by_brute_force(self, r, c):
+        """Tall, wide and square: by_cols exactly when the largest row lcm
+        exceeds the largest column lcm, although only the shorter lines' lcms
+        are taken in full.  Small denominators make ties common; a row or a
+        column of larger ones tips the rule either way."""
+        rng = random.Random(r * 100 + c)
+        entry = lambda dens: F(rng.randint(-9, 9), rng.choice(dens))
+
+        def top(lines):
+            return max(lcm(*(e.denominator for e in line)) for line in lines)
+
+        seen = set()
+        for _ in range(300):
+            rows = [[entry((1, 2, 3)) for _ in range(c)] for _ in range(r)]
+            for _ in range(rng.randint(0, 2)):
+                if rng.random() < 0.5:
+                    rows[rng.randrange(r)] = [entry((4, 5, 7, 11)) for _ in range(c)]
+                else:
+                    j = rng.randrange(c)
+                    for row in rows:
+                        row[j] = entry((4, 5, 7, 11))
+            rule = top(rows) > top(zip(*rows))
+            assert RatMatrix(rows)._cleared[2] is rule
+            seen.add("tie" if top(rows) == top(zip(*rows)) else rule)
+        # a one-column matrix never clears by columns, a one-row one never by rows
+        assert seen == {"tie", *([True] if c > 1 else []), *([False] if r > 1 else [])}
 
 
 class TestScaleToUnit:
