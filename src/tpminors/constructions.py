@@ -371,29 +371,22 @@ def hyperplane_family(A: RatMatrix, t) -> list:
     d = A.rows
     if A.cols < d - 1:
         raise ValueError("need at least d-1 columns")
-    out = []
+    if d == 1:
+        return [((), Hyperplane((Fraction(1),), t))]
+    # the cofactor of row j drops row j; its sign (-1)^(j+d) is - at j = d-1, d-3, ...
+    drops = [tuple(r for r in range(1, d + 1) if r != j) for j in range(1, d + 1)]
+    out, seen = [], {}
     for I in combinations(range(1, A.cols + 1), d - 1):
-        coeffs = []
-        for j in range(1, d + 1):
-            rows = tuple(r for r in range(1, d + 1) if r != j)
-            if d == 1:
-                cof = Fraction(1)
-            else:
-                cof = (-1) ** (j + d) * det(A.submatrix(rows, I))
-            coeffs.append(cof)
-        if all(c == 0 for c in coeffs):
-            raise ValueError(
-                "columns %r are dependent; matrix is not TP" % (I,)
-            )
-        out.append((I, Hyperplane(tuple(coeffs), t)))
-    # every member has offset t != 0, so proportional members have equal coefficients
-    seen = {}
-    for I, h in out:
-        if h.coeffs in seen:
-            raise ValueError(
-                "hyperplanes for %r and %r are proportional" % (seen[h.coeffs], I)
-            )
-        seen[h.coeffs] = I
+        coeffs = [det(A._select(rows, I)) for rows in drops]  # valid tuples: no re-check
+        coeffs[d - 2::-2] = [-c for c in coeffs[d - 2::-2]]
+        coeffs = tuple(coeffs)
+        if not any(coeffs):
+            raise ValueError("columns %r are dependent; matrix is not TP" % (I,))
+        # every member has offset t != 0, so proportional members have equal coefficients
+        first = seen.setdefault(coeffs, I)  # one tuple hash per member
+        if first is not I:
+            raise ValueError("hyperplanes for %r and %r are proportional" % (first, I))
+        out.append((I, Hyperplane(coeffs, t)))
     return out
 
 

@@ -199,21 +199,18 @@ def grid_area_counts(n: int, k: int) -> list:
 def as_multiset(values) -> Counter:
     """Embed an iterable of values (multiplicity 1 each unless repeated) or a
     mapping of value to integer multiplicity >= 0 into a rational-keyed multiset;
-    a key of multiplicity 0 is still checked, and equal keys ("1/2", "2/4") add up."""
+    a key of multiplicity 0 is still checked, and equal keys ("1/2", "2/4") add up,
+    placed where the first of them with a nonzero multiplicity occurs."""
     if not isinstance(values, Mapping):
         return Counter(map(rat, values))
-    out, extra = Counter(values), Counter()  # the copy keeps each stored hash
-    for v, m in list(out.items()):
+    out = Counter()
+    for v, m in values.items():
         i = operator.index(m)
         if i < 0:
             raise ValueError("multiplicity of %s is negative: %d" % (v, i))
-        # a Fraction key with an int multiplicity stays as copied: no rehash
-        if not i or type(m) is not int or type(v) is not Fraction:
-            del out[v]
-            v = rat(v)
-            if i:
-                extra[v] += i
-    out.update(extra)
+        v = rat(v)
+        if i:
+            out[v] += i
     return out
 
 
@@ -230,21 +227,21 @@ def _convolve_ints(C, D, op) -> dict:
 
 def _convolve(C, D, op):
     """(op(C, D) with int keys, L): keys convolved as integers over one common
-    denominator L, so a key v stands for v/L in a difference, v/L^2 in a product."""
-    C, D = as_multiset(C), as_multiset(D)
+    denominator L, so a key v stands for v/L in a difference, v/L^2 in a product.
+    C and D are multisets as_multiset has already made."""
     (keys,), (L,) = clear_denominators([list(C) + list(D)])
     return _convolve_ints(zip(keys, C.values()), list(zip(keys[len(C):], D.values())), op), L
 
 
 def multiset_diff(C, D) -> Counter:
     """C - D with convolved multiplicities m(s) = sum m(c) m(d) over c-d=s."""
-    out, L = _convolve(C, D, operator.sub)
+    out, L = _convolve(as_multiset(C), as_multiset(D), operator.sub)
     return Counter({Fraction(v, L): m for v, m in out.items()})
 
 
 def multiset_prod(C, D) -> Counter:
     """C * D with convolved multiplicities m(s) = sum m(c) m(d) over c*d=s."""
-    out, L = _convolve(C, D, operator.mul)
+    out, L = _convolve(as_multiset(C), as_multiset(D), operator.mul)
     return Counter({Fraction(v, L * L): m for v, m in out.items()})
 
 

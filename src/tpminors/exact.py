@@ -2,7 +2,7 @@
 
 Every scalar is a reduced ``fractions.Fraction``, so equality of minor values
 is a genuine exact predicate.  A matrix holds only its integer lines, cleared
-once on the axis its denominators pick; determinants, censuses and submatrices
+once on the axis its denominators pick; determinants, censuses and minors
 read them, and entries are Fractions built on each read.  Floats are rejected.
 """
 
@@ -34,18 +34,6 @@ def rat(value) -> Fraction:
     if isinstance(value, (float, bool)):
         raise TypeError("floating point and bools are not allowed in exact paths: %r" % (value,))
     return Fraction(value)
-
-
-def check_index_tuple(t, bound, name="index tuple"):
-    """Validate a 1-based strictly increasing index tuple against a dimension."""
-    t = tuple(operator.index(i) for i in t)
-    if not t:
-        raise ValueError("%s must be nonempty (order-0 minors are not defined)" % name)
-    if any(b <= a for a, b in zip(t, t[1:])):
-        raise ValueError("%s must be strictly increasing: %r" % (name, t))
-    if t[0] < 1 or t[-1] > bound:
-        raise ValueError("%s out of range 1..%d: %r" % (name, bound, t))
-    return t
 
 
 class RatMatrix:
@@ -91,11 +79,6 @@ class RatMatrix:
         lines, scales, by_cols = self._cleared
         fracs = tuple(tuple(Fraction(v, s) for v in line) for line, s in zip(lines, scales))
         return tuple(zip(*fracs)) if by_cols else fracs
-
-    def submatrix(self, I, J):
-        """Submatrix A_{I,J} selected by 1-based strictly increasing tuples."""
-        return self._select(check_index_tuple(I, self.rows, "row tuple"),
-                            check_index_tuple(J, self.cols, "column tuple"))
 
     def _select(self, I, J):
         """A_{I,J} for index tuples already known to be valid."""
@@ -212,8 +195,17 @@ def det(M: RatMatrix) -> Fraction:
 
 def minor(A: RatMatrix, I, J) -> Fraction:
     """The minor det(A_{I,J}) for 1-based strictly increasing I, J of equal size."""
-    I = check_index_tuple(I, A.rows, "row tuple")
-    J = check_index_tuple(J, A.cols, "column tuple")
+    tuples = []
+    for name, t, bound in (("row tuple", I, A.rows), ("column tuple", J, A.cols)):
+        t = tuple(map(operator.index, t))
+        if not t:
+            raise ValueError("%s must be nonempty (order-0 minors are not defined)" % name)
+        if any(b <= a for a, b in zip(t, t[1:])):
+            raise ValueError("%s must be strictly increasing: %r" % (name, t))
+        if t[0] < 1 or t[-1] > bound:
+            raise ValueError("%s out of range 1..%d: %r" % (name, bound, t))
+        tuples.append(t)
+    I, J = tuples
     if len(I) != len(J):
         raise ValueError("row and column tuples must have equal size: %r vs %r" % (I, J))
     return det(A._select(I, J))
@@ -277,8 +269,7 @@ def scale_to_unit(A: RatMatrix, I0, J0) -> RatMatrix:
     Requires |I0| = number of rows and minor(A, I0, J0) > 0; every full-height
     minor scales by the same factor, so TP status is preserved.
     """
-    I0 = check_index_tuple(I0, A.rows, "row tuple")
-    if len(I0) != A.rows:
+    if len(I0) != A.rows:  # minor validates I0 and J0
         raise ValueError("designated minor must be full height (|I0| = rows)")
     m0 = minor(A, I0, J0)
     if m0 <= 0:

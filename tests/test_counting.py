@@ -238,7 +238,7 @@ class TestCensusAgainstOracle:
             by_det = Counter()
             for I in combinations(range(1, A.rows + 1), k):
                 for J in combinations(range(1, A.cols + 1), k):
-                    v = det(A.submatrix(I, J))
+                    v = det(A._select(I, J))
                     by_det[v] += 1
                     if v <= 0 and first_nonpositive is None:
                         first_nonpositive = (k, I, J, v)
@@ -566,11 +566,17 @@ class TestHyperplaneIdentity:
     @given(st.data())
     def test_random_rational_power_sums(self, data):
         rationals = st.builds(F, st.integers(1, 40), st.integers(1, 4))
-        a = sorted(data.draw(st.sets(rationals, min_size=3, max_size=12)))
+        a = sorted(data.draw(st.sets(rationals, min_size=3, max_size=40)))
         b = sorted(data.draw(st.sets(rationals, min_size=3, max_size=3)), reverse=True)
         A = power_sum_matrix(a, b, 3)
         t, m = max_repeated_minor(A, 3)
         assert family_count(A, t) == count_minors_equal(A, 3, t) == m
+
+    def test_four_rows(self):
+        # d = 4: the 4x24 power-sum matrix at its most repeated 4x4 value
+        A = power_sum_matrix(range(1, 25), (4, 3, 2, 1), 4)
+        t, m = max_repeated_minor(A, 4)
+        assert family_count(A, t) == count_minors_equal(A, 4, t) == m == 126
 
     def test_one_row(self):
         # d = 1: the one member x_1 = t is tested on every point (I is empty)
@@ -773,10 +779,10 @@ def as_multiset_oracle(C):
 
 
 @st.composite
-def mixed_mappings(draw):
+def mixed_mappings(draw, invalid=True):
     """Counters and dicts over int, Fraction and p/q string keys, equal values
-    spelled apart ("1/2", "2/4", F(1, 2)), multiplicities from 0 up, and at
-    times one negative or non-integer multiplicity."""
+    spelled apart ("1/2", "2/4", F(1, 2)), multiplicities from 0 up, and, when
+    ``invalid``, at times one negative or non-integer multiplicity."""
     keys = st.one_of(
         st.integers(-4, 4),
         st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3))),
@@ -784,7 +790,8 @@ def mixed_mappings(draw):
         st.integers(-4, 4).map(str),
     )
     values = draw(st.dictionaries(keys, st.integers(0, 3), max_size=10))
-    bad = draw(st.sampled_from((None, None, None, -1, -3, 2.5, F(3, 2), True)))
+    bad = draw(st.sampled_from((None, None, None, -1, -3, 2.5, F(3, 2), True) if invalid
+                               else (None,)))
     if values and bad is not None:
         values[draw(st.sampled_from(sorted(values, key=repr)))] = bad
     return draw(st.sampled_from((Counter, dict)))(values)
@@ -840,14 +847,25 @@ class TestMultisets:
             mu(Counter({"x": 0}))
         assert counting.as_multiset(Counter({"1/2": 0, F(2): 0, 1: 2})) == {F(1): 2}
 
-    def test_fraction_keys_not_rehashed(self, monkeypatch):
-        C = Counter({F(i, 7): i for i in range(1, 40)})
-        hashed = []
-        real_hash = F.__hash__
-        monkeypatch.setattr(F, "__hash__", lambda v: hashed.append(v) or real_hash(v))
-        out = counting.as_multiset(C)
-        monkeypatch.undo()
-        assert hashed == [] and out == C
+    def test_mapping_keys_in_first_occurrence_order(self):
+        # each value sits where its first spelling with a nonzero multiplicity does
+        values = {"2/4": 0, 3: 1, F(1, 2): 2, "6/2": 1, "1/2": 1, -1: 0, "0": 4}
+        out = counting.as_multiset(values)
+        assert list(out.items()) == [(F(3), 2), (F(1, 2), 3), (F(0), 4)]
+
+    def test_mu_diff_prod_coerces_each_input_once(self, monkeypatch):
+        A, B = ["1/2", 3, F(3, 2)], Counter({"1/3": 2, 1: 1, "2/6": 0})
+        calls = []
+        real = counting.as_multiset
+        monkeypatch.setattr(counting, "as_multiset", lambda v: calls.append(v) or real(v))
+        assert counting.mu_diff_prod(A, B) == 57
+        assert len(calls) == 2 and calls[0] is A and calls[1] is B
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_mappings(invalid=False), mixed_mappings(invalid=False))
+    def test_mu_diff_prod_matches_fraction_pipeline(self, A, B):
+        assert counting.mu_diff_prod(A, B) == \
+            mu(multiset_prod(multiset_diff(A, A), multiset_diff(B, B)))
 
     @settings(max_examples=300, deadline=None)
     @given(mixed_mappings())

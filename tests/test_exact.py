@@ -85,7 +85,7 @@ class TestDet:
         I, J = (1, 2, 3, 5, 6, 8, 9), (1, 3, 4, 6, 7, 8, 9)
         if transpose:
             rows, I, J = [list(r) for r in zip(*rows)], J, I
-        sub = RatMatrix(rows).submatrix(I, J)
+        sub = RatMatrix(rows)._select(I, J)
         value = det(sub)
         _, scales, by_cols = sub._cleared
         assert by_cols is transpose
@@ -389,16 +389,16 @@ class TestSubmatrix:
                                          min_size=r, max_size=r)))
         idx = lambda n: tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
         I, J = idx(r), idx(c)
-        sub = A.submatrix(I, J)
+        sub = A._select(I, J)
         built = RatMatrix([[A.entries[i - 1][j - 1] for j in J] for i in I])
         assert sub == built and hash(sub) == hash(built)
         assert (sub.rows, sub.cols) == (len(I), len(J))
-        assert sub.submatrix((1,), (1,)) == RatMatrix([[A.entries[I[0] - 1][J[0] - 1]]])
+        assert sub._select((1,), (1,)) == RatMatrix([[A.entries[I[0] - 1][J[0] - 1]]])
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.data())
     def test_nested_selection_matches_fresh_build(self, r, c, data):
-        """A chain of one to three submatrix calls, each inheriting the cleared
+        """A chain of one to three _select calls, each inheriting the cleared
         lines, line scales and axis of the one before, reads like a RatMatrix
         built from the same entries: its det (before its entries are read),
         entries, shape, repr, == and hash.  Chains run from the drawn parent
@@ -421,7 +421,7 @@ class TestSubmatrix:
             for _ in range(data.draw(st.integers(1, 3))):
                 I = sorted(data.draw(st.sets(st.integers(1, len(plain)), min_size=1)))
                 J = sorted(data.draw(st.sets(st.integers(1, len(plain[0])), min_size=1)))
-                sub = sub.submatrix(I, J)
+                sub = sub._select(I, J)
                 plain = [[plain[i - 1][j - 1] for j in J] for i in I]
             assert sub._cleared[2] is by_cols
             built = RatMatrix(plain)
@@ -535,7 +535,7 @@ class TestScaleToUnit:
         assert scale_to_unit(A, (1, 2), (1, 2)) == A
 
     def test_designated_minor_becomes_one(self):
-        A = power_sum_matrix(range(1, 6), (2, 1), 2).submatrix((1, 2), (1, 2, 3, 4, 5))
+        A = power_sum_matrix(range(1, 6), (2, 1), 2)._select((1, 2), (1, 2, 3, 4, 5))
         for J in [(1, 2), (2, 4), (3, 5)]:
             B = scale_to_unit(A, (1, 2), J)
             assert minor(B, (1, 2), J) == 1

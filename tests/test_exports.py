@@ -177,11 +177,11 @@ def test_every_definition_has_a_program_path():
 
 
 def test_member_walk_follows_each_source():
-    """rows is read in a command's path, submatrix only in a library-only
-    body (hyperplane_family), dim only in a reached member (Hyperplane.contains);
+    """rows is read in a command's path, Line2.contains only in a library-only
+    body (point_line_incidences), dim only in a reached member (Hyperplane.contains);
     private members and dunders are not walked."""
     found = set(members())
-    assert {("RatMatrix", "rows"), ("RatMatrix", "submatrix"),
+    assert {("RatMatrix", "rows"), ("Line2", "contains"),
             ("Hyperplane", "dim")} <= reached_members() <= found
     assert not any(member.startswith("_") for _, member in found)
 
