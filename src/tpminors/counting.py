@@ -131,8 +131,11 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     denominators cleared the test is dx * dy == T: points are bucketed into
     columns on the axis with fewer distinct values (the count is symmetric in
     x and y); for columns x1 < x2 whose gap dx divides T, each y of x1 is
-    looked up as y + T/dx (anti-diagonals: y - T/dx) in x2.  Cost: the column
-    pairs at most T apart, plus those lookups; no pair of points is visited.
+    matched with y + T/dx (anti-diagonals: y - T/dx) in x2.  A column is an int
+    bitmask over the y span when the masks fit in 64 bits a point (a set's hash
+    table takes more), else a set of its y.  Cost: the column pairs at most T
+    apart, plus, per pair, one AND of masks shifted right by T/dx (none past the
+    span) or one set lookup per y of x1; no pair of points is visited.
     """
     if mode not in RECTANGLE_MODES:
         raise ValueError("unknown mode %r" % (mode,))
@@ -150,10 +153,17 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
     if rem:
         return 0
     xs, ys = sorted((xs, ys), key=lambda axis: len(set(axis)))  # x on a tie
-    columns = {}
-    for x, y in zip(xs, ys):
-        columns.setdefault(x, set()).add(y)
-    keys = sorted(columns)
+    keys, lo, hi = sorted(set(xs)), min(ys, default=0), max(ys, default=0)
+    dense = len(keys) * (hi - lo + 1) <= 64 * len(points)  # masks of at most 64 bits a point
+    if dense:  # column x as an int: bit y - lo set for each y of the column
+        bits = {x: bytearray((hi - lo) // 8 + 1) for x in keys}
+        for x, y in zip(xs, ys):
+            bits[x][y - lo >> 3] |= 1 << (y - lo & 7)
+        columns = {x: int.from_bytes(b, "little") for x, b in bits.items()}
+    else:
+        columns = {}
+        for x, y in zip(xs, ys):
+            columns.setdefault(x, set()).add(y)
     anti = mode == "both-diagonals"
     count = 0
     for i, x1 in enumerate(keys):
@@ -166,9 +176,14 @@ def unit_rectangles(points, area, mode: str = "diagonal") -> int:
                 continue
             dy = target // dx
             col2 = columns[x2]
-            count += sum(y + dy in col2 for y in col1)
-            if anti:
-                count += sum(y - dy in col2 for y in col1)
+            if not dense:
+                count += sum(y + dy in col2 for y in col1)
+                if anti:
+                    count += sum(y - dy in col2 for y in col1)
+            elif dy <= hi - lo:  # right shifts only: no mask is widened by dy bits
+                count += (col1 & col2 >> dy).bit_count()
+                if anti:
+                    count += (col1 >> dy & col2).bit_count()
     return count
 
 

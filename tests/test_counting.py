@@ -686,6 +686,21 @@ class TestUnitRectangles:
         assert unit_rectangles(pts, area, mode) == expected
         # the transposed set has the same count and buckets on the other axis
         assert unit_rectangles([(y, x) for x, y in pts], area, mode) == expected
+        # both axes spread by 10^9: each column's y span is too wide for bitmasks,
+        # so the columns are sets (scaling only y leaves y the column axis at times)
+        big, big_area = [(x * 10**9, y * 10**9) for x, y in pts], area * 10**18
+        assert unit_rectangles(big, big_area, mode) == rectangles_oracle(big, big_area, mode) == expected
+
+    @pytest.mark.parametrize("mode", ["diagonal", "both-diagonals"])
+    def test_shift_past_the_span_skipped(self, mode):
+        # a 2x3 unit grid and (10^40, 1): x and y tie on 3 values, so the columns
+        # are x, as bitmasks over a y span of 2.  Columns 0 and 1 need T/dx = 10^40
+        # rows, which a left shift would build as a 10^40-bit int; only the
+        # 10^40-wide pairs count: (0, 0) up-right and (0, 2) down-right.
+        pts = [(x, y) for x in (0, 1) for y in range(3)] + [(10**40, 1)]
+        expected = rectangles_oracle(pts, 10**40, mode)
+        assert expected == (1 if mode == "diagonal" else 2)
+        assert unit_rectangles(pts, 10**40, mode) == expected
 
     @pytest.mark.parametrize("mode", ["diagonal", "both-diagonals"])
     def test_every_x_distinct(self, mode):
