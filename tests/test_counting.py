@@ -446,6 +446,14 @@ class TestCountersOverCensus:
         # -1/2 and -1/3 both appear twice: the tie breaks to the smaller value
         assert max_repeated_minor(A, 1) == (F(-1, 2), 2)
 
+    def test_max_repeated_tie_on_pair_keys(self):
+        # a 2 x 4 matrix cleared by columns: six 2x2 minors, each value once
+        A = RatMatrix([[F(1, 2), F(1, 3), F(1, 5), F(1, 7)], [1, 1, 1, 1]])
+        counts, D = minor_census(A, 2)
+        assert D is None and len(counts) == 6 and set(counts.values()) == {1}
+        # the six-way tie breaks to the smallest value, 1/5 - 1/7 = 2/35
+        assert max_repeated_minor(A, 2) == (F(2, 35), 1)
+
     def test_max_repeated(self):
         assert max_repeated_minor(grid_matrix(4), 2) == (F(2), 12)
         # tie between values 1 and 2 breaks to the smaller value
@@ -926,6 +934,10 @@ class TestMultisets:
 @pytest.mark.parametrize("call, message", [
     (lambda: point_hyperplane_incidences([(1, 2)], [((), Hyperplane((1, 1, 1), 3))]),
      "point dimension 2 != 3"),
+    # the first max(I) points are never tested against the plane, but still checked
+    (lambda: point_hyperplane_incidences([(1, 2, 3, 4), (1, 1, 1), (1, 2, 0)],
+                                         [((1, 2), Hyperplane((1, 1, 1), 3))]),
+     "point dimension 4 != 3"),
     (lambda: unit_rectangles([(1, 2), (2, 3)], 1, mode="anti-diagonal"),
      "unknown mode 'anti-diagonal'"),
     (lambda: divisor_count(0), "k must be >= 1"),

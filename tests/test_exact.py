@@ -208,6 +208,27 @@ class TestDetIntShape:
         assert len(calls) == 2 and calls[0] == "det_int"
 
 
+class TestReduced:
+    """reduced(p, q) is p/q in lowest terms with a positive second entry: the
+    (numerator, denominator) of Fraction(p, q)."""
+
+    ints = st.integers(-10 ** 6, 10 ** 6) | st.integers(-10 ** 40, 10 ** 40)
+
+    @settings(max_examples=500, deadline=None)
+    @given(ints, ints.filter(bool), st.integers(1, 10 ** 40))
+    def test_matches_fraction(self, p, q, g):
+        for p, q in ((p, q), (p * g, q * g), (0, q), (-p, -q)):
+            v = F(p, q)
+            assert exact.reduced(p, q) == (v.numerator, v.denominator)
+
+    @pytest.mark.parametrize("p, q, want", [
+        (0, 5, (0, 1)), (0, -5, (0, 1)), (6, -4, (-3, 2)), (-6, -4, (3, 2)),
+        (7, 1, (7, 1)), (10 ** 40, -(2 * 10 ** 40), (-1, 2)),
+    ])
+    def test_signs_and_zero(self, p, q, want):
+        assert exact.reduced(p, q) == want
+
+
 class TestMinor:
     def test_2x2_selection(self):
         A = RatMatrix([[1, 2, 1], [1, 3, 2]])
